@@ -32,60 +32,11 @@ pub mod scenarios;
 
 pub use optik_harness as harness;
 
-/// Sweep configuration (re-exported from the harness driver; the historic
-/// name `Config` is kept for the Criterion benches and external users).
+/// Sweep configuration (re-exported from the harness driver under its
+/// historic name `Config`).
 pub type Config = optik_harness::driver::SweepConfig;
 
 pub use cli::{banner, fmt_percentiles};
-
-/// Support for the Criterion benches: fixed-window measurements converted
-/// to per-operation time.
-pub mod crit {
-    use std::time::Duration;
-
-    use optik_harness::api::ConcurrentSet;
-    use optik_harness::runner::{run_queue_workload, run_set_workload};
-    use optik_harness::{ConcurrentQueue, Workload};
-
-    /// Default contended thread count for the Criterion smoke benches.
-    pub const THREADS: usize = 8;
-    /// Default measurement window.
-    pub const WINDOW: Duration = Duration::from_millis(80);
-
-    /// Converts "(ops executed, wall time)" into the duration `iters`
-    /// operations would take — the shape `Criterion::iter_custom` needs.
-    pub fn scale(iters: u64, total_ops: u64, window: Duration) -> Duration {
-        let per_op = window.as_secs_f64() / total_ops.max(1) as f64;
-        Duration::from_secs_f64(per_op * iters as f64)
-    }
-
-    /// One fixed-window set-workload run; returns `(ops, wall)`.
-    pub fn set_window<S: ConcurrentSet>(
-        make: impl Fn() -> S,
-        size: u64,
-        update_pct: u32,
-        skewed: bool,
-    ) -> (u64, Duration) {
-        let w = Workload::paper(size, update_pct, skewed);
-        let set = make();
-        w.initial_fill(1, |k, v| set.insert(k, v));
-        let res = run_set_workload(THREADS, WINDOW, &w, 2, false, |_| &set);
-        (res.counts.total(), res.duration)
-    }
-
-    /// One fixed-window queue run; returns `(ops, wall)`.
-    pub fn queue_window<Q: ConcurrentQueue>(
-        make: impl Fn() -> Q,
-        enqueue_pct: u32,
-    ) -> (u64, Duration) {
-        let q = make();
-        for i in 0..4096u64 {
-            q.enqueue(i);
-        }
-        let res = run_queue_workload(&q, THREADS, WINDOW, enqueue_pct, 2, false);
-        (res.counts.total(), res.duration)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -20,6 +20,15 @@ use optik::{OptikLock, OptikVersioned};
 use optik_explore::{explore, replay, Config, Token, Trial};
 use optik_probe::{Event, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// The probe counters are process-wide, so a `Snapshot` delta taken by one
+/// test also sees every event a concurrently running test counts. Each
+/// test holds this lock for its whole run so its deltas are its own.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cfg() -> Config {
     Config {
@@ -65,6 +74,7 @@ fn contended_pair(trial: &Trial) -> (u64, u64) {
 /// interleaving — and the ledger invariants must hold exactly.
 #[test]
 fn counters_match_ground_truth_on_every_schedule() {
+    let _serial = exclusive();
     let mut contended: Option<(Token, u64, u64)> = None;
     let mut fail_counts = std::collections::BTreeSet::new();
     let stats = explore(cfg(), |trial: &Trial| {
@@ -126,20 +136,20 @@ fn counters_match_ground_truth_on_every_schedule() {
     });
 }
 
-/// The arena ledger under deterministic depot traffic: two threads churn
-/// slots through an arena-backed pool (2-slot magazines, 8-slot slabs, a
+/// The magazine ledger under deterministic depot traffic: two threads
+/// churn slots through a node pool (2-slot magazines, 8-slot chunks, a
 /// private QSBR domain), and on *every* enumerated schedule the probe
-/// deltas must balance the arena's own books exactly — every allocation
+/// deltas must balance the pool's own books exactly — every allocation
 /// resolved as a magazine hit or a slow-path miss (never both, never
-/// neither), every mapped slab and every address-ordered run refill
-/// counted once, and the [`reclaim::ArenaStats::conservation`] identities
-/// (freed == refilled + parked, free store == depot, capacity == slabs ×
-/// chunk, every slot in exactly one place) holding at rest.
+/// neither), every miss matching one slow allocation, and every slot in
+/// exactly one place at rest.
 #[test]
-fn arena_ledger_balances_on_every_schedule() {
+fn pool_ledger_balances_on_every_schedule() {
     use reclaim::{NodePool, Qsbr};
     use std::sync::Arc;
     use synchro::shim;
+
+    let _serial = exclusive();
 
     // Completion barrier, as in explore_pool.rs: no model thread may exit
     // while a peer still touches the pool (the process-wide thread-index
@@ -152,17 +162,17 @@ fn arena_ledger_balances_on_every_schedule() {
     }
 
     // Two-phase burst, sized so the serial schedule provably pushes a
-    // whole magazine through the free store: with 2-slot magazines
-    // (loaded + prev), BURST = 6 slots freed in one collect overflow
-    // both magazines and surrender one run; DRAIN = 5 follow-up
-    // allocations empty both magazines and pull that run back out
-    // through an address-ordered refill.
+    // whole magazine through the depot: with 2-slot magazines (loaded +
+    // prev), BURST = 6 slots freed in one collect overflow both
+    // magazines and surrender one to the depot; DRAIN = 5 follow-up
+    // allocations empty both magazines and pull it back out.
+    const MAGAZINE: u64 = 2;
     const BURST: u64 = 6;
     const DRAIN: u64 = 5;
     let mut refill_counts = std::collections::BTreeSet::new();
     let stats = explore(cfg(), |trial: &Trial| {
         let before = Snapshot::take();
-        let pool: Arc<NodePool<u64>> = NodePool::arena_with_config(8, 2);
+        let pool: Arc<NodePool<u64>> = NodePool::with_config(8, MAGAZINE as usize);
         let domain = Qsbr::new();
         let done = shim::AtomicU64::new(0);
         let worker = || {
@@ -185,51 +195,38 @@ fn arena_ledger_balances_on_every_schedule() {
         };
         trial.run(&[&worker, &worker]);
         let d = Snapshot::take().delta_since(&before);
-        let a = pool.arena_stats().expect("arena mode");
+        let s = pool.stats();
         assert_eq!(
             d.get(Event::MagazineHit) + d.get(Event::MagazineMiss),
-            a.pool.allocations,
+            s.allocations,
             "an allocation resolved twice or never; replay with schedule token {}",
             trial.token()
         );
         assert_eq!(
             d.get(Event::MagazineMiss),
-            a.pool.slow_allocs,
+            s.slow_allocs,
             "probe MagazineMiss diverged from the pool's slow-alloc count; \
              replay with schedule token {}",
             trial.token()
         );
         assert_eq!(
-            d.get(Event::ArenaSlabAlloc),
-            a.slab_allocs,
-            "probe ArenaSlabAlloc diverged from mapped slabs; \
-             replay with schedule token {}",
+            s.cached + s.depot + s.unallocated + s.in_grace,
+            s.capacity,
+            "slot conservation violated ({s:?}); replay with schedule token {}",
             trial.token()
         );
-        assert_eq!(
-            d.get(Event::ArenaRunRefill),
-            a.run_refills,
-            "probe ArenaRunRefill diverged from free-store refills; \
-             replay with schedule token {}",
-            trial.token()
-        );
-        for (label, x, y) in a.conservation() {
-            assert_eq!(
-                x,
-                y,
-                "arena ledger `{label}` broken in schedule {}",
-                trial.token()
-            );
-        }
-        refill_counts.insert(a.run_refills);
+        // Every slow allocation is either a fresh bump batch (exactly
+        // `MAGAZINE` slots out of the bump region) or a depot refill.
+        let fresh_batches = (s.capacity - s.unallocated) / MAGAZINE;
+        refill_counts.insert(s.slow_allocs - fresh_batches);
     });
-    eprintln!("probe_conservation::arena_ledger_balances: {stats}");
+    eprintln!("probe_conservation::pool_ledger_balances: {stats}");
     assert!(!stats.truncated, "tree not exhausted: {stats}");
-    // The equalities proved nothing unless some schedule actually pushed
-    // a surrendered run back out through an address-ordered refill.
+    // The equalities proved nothing unless some schedule actually pulled
+    // a surrendered magazine back out of the depot.
     assert!(
         refill_counts.iter().any(|&n| n > 0),
-        "no schedule exercised an arena run refill: {refill_counts:?}"
+        "no schedule exercised a depot refill: {refill_counts:?}"
     );
 }
 
@@ -246,6 +243,7 @@ fn combine_ledger_balances_on_every_schedule() {
     use optik_hashtables::StripedOptikHashTable;
     use optik_kv::{CombineMode, KvStore};
 
+    let _serial = exclusive();
     let mut applied_counts = std::collections::BTreeSet::new();
     let stats = explore(cfg(), |trial: &Trial| {
         let before = Snapshot::take();

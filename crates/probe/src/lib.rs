@@ -148,17 +148,12 @@ pub enum Event {
     /// Published op applied by its own publisher (the waiter won the
     /// shard lock itself and drained the list, its own slot included).
     CombineSelfServe = 17,
-    /// Arena-backed pool mapped a fresh aligned slab.
-    ArenaSlabAlloc = 18,
-    /// Magazine refilled from the arena depot's address-ordered free
-    /// store (as opposed to a bump-fresh or loose-magazine refill).
-    ArenaRunRefill = 19,
     /// Software prefetch issued one hop ahead of a traversal.
-    PrefetchIssued = 20,
+    PrefetchIssued = 18,
 }
 
 /// Number of [`Event`] kinds.
-pub const EVENT_COUNT: usize = 21;
+pub const EVENT_COUNT: usize = 19;
 
 impl Event {
     /// All events, in counter order.
@@ -181,8 +176,6 @@ impl Event {
         Event::CombineBatch,
         Event::CombineApplied,
         Event::CombineSelfServe,
-        Event::ArenaSlabAlloc,
-        Event::ArenaRunRefill,
         Event::PrefetchIssued,
     ];
 
@@ -207,8 +200,6 @@ impl Event {
             Event::CombineBatch => "combine_batches",
             Event::CombineApplied => "combine_ops_applied",
             Event::CombineSelfServe => "combine_self_served",
-            Event::ArenaSlabAlloc => "arena_slab_allocs",
-            Event::ArenaRunRefill => "arena_run_refills",
             Event::PrefetchIssued => "prefetch_issued",
         }
     }
@@ -230,15 +221,10 @@ pub enum HistKind {
     /// Published ops applied per combiner drain (a *size*, not cycles —
     /// the log-2 buckets read as batch-size classes 1, 2–3, 4–7, …).
     CombineBatch = 4,
-    /// Length of each maximal address-contiguous run inside an arena
-    /// magazine refill (a *size* in nodes, not cycles: buckets read as
-    /// run-length classes 1, 2–3, 4–7, …). Longer runs mean recycled
-    /// nodes handed out physically adjacent.
-    ArenaRun = 5,
 }
 
 /// Number of [`HistKind`]s.
-pub const HIST_COUNT: usize = 6;
+pub const HIST_COUNT: usize = 5;
 
 /// Buckets per histogram: bucket `b` counts values in `[2^b, 2^(b+1))`
 /// (bucket 0 additionally holds zero).
@@ -252,7 +238,6 @@ impl HistKind {
         HistKind::ValidationWindow,
         HistKind::GraceLatency,
         HistKind::CombineBatch,
-        HistKind::ArenaRun,
     ];
 
     /// Stable snake_case key.
@@ -263,7 +248,6 @@ impl HistKind {
             HistKind::ValidationWindow => "range_window",
             HistKind::GraceLatency => "grace",
             HistKind::CombineBatch => "combine_batch",
-            HistKind::ArenaRun => "arena_run",
         }
     }
 }
@@ -686,12 +670,6 @@ impl Snapshot {
                 self.hist(HistKind::CombineBatch).mean(),
             ));
         }
-        if self.hist(HistKind::ArenaRun).count() > 0 {
-            out.push((
-                "arena_run_mean_len".into(),
-                self.hist(HistKind::ArenaRun).mean(),
-            ));
-        }
         for (e, label) in [
             (Event::BackoffEscalate, "backoff_escalations"),
             (Event::SpinAcquire, "spin_acquires"),
@@ -704,8 +682,6 @@ impl Snapshot {
             (Event::CombineBatch, "combine_batches"),
             (Event::CombineApplied, "combine_ops_applied"),
             (Event::CombineSelfServe, "combine_self_served"),
-            (Event::ArenaSlabAlloc, "arena_slab_allocs"),
-            (Event::ArenaRunRefill, "arena_run_refills"),
             (Event::PrefetchIssued, "prefetch_issued"),
         ] {
             if self.get(e) > 0 {

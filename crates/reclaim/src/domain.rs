@@ -158,7 +158,11 @@ impl Qsbr {
             let slot = &self.slots[i as usize];
             // ts is monotonic and bumped on every state change, so any
             // difference proves a quiescent point (or exit) after the seal.
-            slot.ts.load(Ordering::Acquire) != ts
+            // A released slot has no live thread, even if the seal landed
+            // between the exiting handle's final ts bump and its release
+            // (e.g. a drop function re-retiring during `QsbrHandle::drop`);
+            // re-registration bumps ts, so the comparison stays sound.
+            !slot.in_use.load(Ordering::Acquire) || slot.ts.load(Ordering::Acquire) != ts
         })
     }
 
@@ -500,6 +504,48 @@ mod tests {
         h.quiescent();
         h.collect();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn exiting_slot_does_not_stall_a_batch_sealed_during_its_drop() {
+        // `a`'s drop collects its own batch, whose drop function re-retires
+        // through `retire_orphan`. That orphan is sealed after `a`'s final
+        // ts bump but before its slot is released, so its snapshot records
+        // the exiting slot's last ts; the grace period must still end once
+        // `b` (the only live thread) passes quiescent points.
+        let domain = Qsbr::new();
+        let hits = Arc::new(AtomicU64::new(0));
+        unsafe fn second_hop(p: *mut u8, _ctx: Option<RetireCtx>) {
+            // SAFETY: provenance from Box::into_raw below; freed once.
+            unsafe { drop(Box::from_raw(p.cast::<DropCounter>())) };
+        }
+        unsafe fn first_hop(p: *mut u8, ctx: Option<RetireCtx>) {
+            let domain = ctx
+                .expect("retired with the domain as ctx")
+                .downcast::<Qsbr>()
+                .expect("ctx is the domain");
+            // SAFETY: forwarded provenance; second_hop frees.
+            unsafe { domain.retire_orphan(p, second_hop) };
+        }
+        let b = domain.register();
+        let a = domain.register();
+        let p = Box::into_raw(Box::new(DropCounter(Arc::clone(&hits))));
+        let ctx: RetireCtx = domain.clone();
+        // SAFETY: never published.
+        unsafe { a.retire_with(p.cast(), first_hop, Some(ctx)) };
+        a.flush();
+        b.quiescent();
+        drop(a);
+        for _ in 0..4 * COLLECT_PERIOD {
+            b.quiescent();
+        }
+        assert_eq!(
+            hits.load(Ordering::SeqCst),
+            1,
+            "re-retired box stranded behind the exited slot: {:?}",
+            domain.stats()
+        );
+        drop(b);
     }
 
     #[test]

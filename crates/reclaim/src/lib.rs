@@ -10,7 +10,7 @@
 //!   A retired object is dropped only after every registered, online thread
 //!   has passed through a quiescent point, so oblivious readers (the paper's
 //!   searches never synchronize) can never touch freed memory.
-//! - [`NodePool`] — a type-stable arena: slots are recycled but their memory
+//! - [`NodePool`] — a type-stable node pool: slots are recycled but their memory
 //!   is never returned to the OS while the pool lives. This is what makes
 //!   the paper's *node caching* (§5.1) safe: a stale cached pointer always
 //!   points at *some* node of the right type, and OPTIK version validation
@@ -26,21 +26,12 @@
 //! [`QsbrHandle::offline`]; otherwise garbage accumulates. This is the same
 //! contract ssmem imposes in the paper.
 
-//!
-//! [`NodePool`] comes in two storage modes sharing one API: the default
-//! boxed-chunk pool, and an arena-backed variant ([`NodePool::arena`],
-//! module [`arena`]) with aligned slabs and address-ordered magazine
-//! refills for traversal locality; [`ArenaStats`] extends the slot
-//! ledger with the arena's own conservation identities.
-
 #![warn(missing_docs)]
 
-pub mod arena;
 mod domain;
 mod global;
 mod pool;
 
-pub use arena::ArenaStats;
 pub use domain::{Qsbr, QsbrHandle, QsbrStats, RetireCtx, MAX_THREADS};
 pub use global::{global, offline, offline_while, online, quiescent, retire_global, with_local};
 pub use pool::{NodePool, PoolStats, PooledPtr, DEFAULT_CHUNK_CAPACITY, DEFAULT_MAGAZINE_CAPACITY};

@@ -63,7 +63,6 @@ use synchro::{shim, CachePadded, Lock, TtasLock};
 // TLS teardown, where callers fall back to the pool lock.
 use optik_probe::thread_index;
 
-use crate::arena::{ArenaStats, FreeStore, Slab};
 use crate::domain::{QsbrHandle, RetireCtx, MAX_THREADS};
 
 /// Default number of node slots per chunk.
@@ -152,33 +151,20 @@ fn debit(counter: &AtomicU64, delta: u64) {
 #[repr(transparent)]
 struct Slot<T>(UnsafeCell<MaybeUninit<T>>);
 
-/// Arena-mode storage: aligned slabs instead of boxed chunks, and one
-/// address-ordered free store instead of magazine-granular depot stacks
-/// (see the `arena` module docs).
-struct ArenaDepot<T> {
-    slabs: Vec<Slab<Slot<T>>>,
-    store: FreeStore<T>,
-}
-
 struct PoolInner<T> {
-    /// Owning storage (boxed mode); never shrinks while the pool lives
-    /// (type stability).
+    /// Owning storage; never shrinks while the pool lives (type
+    /// stability).
     chunks: Vec<Box<[Slot<T>]>>,
-    /// Arena-mode storage (slabs + address-ordered free store); `Some`
-    /// exactly when the pool was built through an `arena*` constructor.
-    arena: Option<ArenaDepot<T>>,
-    /// Full magazines surrendered by overflowing threads (boxed mode).
+    /// Full magazines surrendered by overflowing threads.
     depot: Vec<Vec<*mut T>>,
     /// Empty magazine buffers kept for reuse (no malloc churn on exchange).
     spares: Vec<Vec<*mut T>>,
     /// Loose recycled slots from the no-magazine fallback path (thread
-    /// teardown, where the thread-index TLS is already destroyed; boxed
-    /// mode — the arena free store absorbs these directly).
+    /// teardown, where the thread-index TLS is already destroyed).
     loose: Vec<*mut T>,
-    /// Total free slots parked under the pool lock: `depot` + `loose`
-    /// in boxed mode, the arena free store in arena mode.
+    /// Total free slots parked under the pool lock: `depot` + `loose`.
     depot_slots: usize,
-    /// Bump cursor into the last chunk/slab (starts saturated so the
+    /// Bump cursor into the last chunk (starts saturated so the
     /// first allocation triggers growth).
     bump: usize,
     /// Slots ever handed out of the bump region.
@@ -187,26 +173,16 @@ struct PoolInner<T> {
 }
 
 impl<T> PoolInner<T> {
-    /// Chunks/slabs currently mapped.
-    fn chunk_count(&self) -> usize {
-        self.arena
-            .as_ref()
-            .map_or(self.chunks.len(), |a| a.slabs.len())
+    /// Total slot capacity currently reserved from the OS.
+    fn capacity(&self) -> usize {
+        self.chunks.len() * self.chunk_capacity
     }
 
     fn grow(&mut self) {
-        match self.arena.as_mut() {
-            Some(a) => {
-                a.slabs.push(Slab::new(self.chunk_capacity));
-                optik_probe::count(optik_probe::Event::ArenaSlabAlloc);
-            }
-            None => {
-                let chunk: Box<[Slot<T>]> = (0..self.chunk_capacity)
-                    .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
-                    .collect();
-                self.chunks.push(chunk);
-            }
-        }
+        let chunk: Box<[Slot<T>]> = (0..self.chunk_capacity)
+            .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
+            .collect();
+        self.chunks.push(chunk);
         self.bump = 0;
     }
 
@@ -218,18 +194,10 @@ impl<T> PoolInner<T> {
         let idx = self.bump;
         self.bump += 1;
         self.handed_out += 1;
-        match self.arena.as_ref() {
-            Some(a) => a
-                .slabs
-                .last()
-                .expect("slab pushed by grow")
-                .slot(idx)
-                .cast::<T>(),
-            None => self.chunks.last().expect("chunk pushed by grow")[idx]
-                .0
-                .get()
-                .cast::<T>(),
-        }
+        self.chunks.last().expect("chunk pushed by grow")[idx]
+            .0
+            .get()
+            .cast::<T>()
     }
 }
 
@@ -237,13 +205,10 @@ impl<T> PoolInner<T> {
 // pool owns; the surrounding spinlock serializes all structural access.
 unsafe impl<T: Send> Send for PoolInner<T> {}
 
-/// A type-stable arena allocator for concurrent data-structure nodes, with
+/// A type-stable pool allocator for concurrent data-structure nodes, with
 /// per-thread magazine caches (see the module docs).
 pub struct NodePool<T> {
     inner: Lock<PoolInner<T>, TtasLock>,
-    /// Whether this pool was built in arena mode (aligned slabs +
-    /// address-ordered refills); fixed at construction.
-    arena_mode: bool,
     /// Per-thread magazines, keyed by registry index, allocated lazily by
     /// their owning thread. Readers (stats) only load the pointers.
     mags: Box<[AtomicPtr<CachePadded<MagazineSlot<T>>>]>,
@@ -351,37 +316,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     ///
     /// Panics if `T` needs drop or either capacity is zero.
     pub fn with_config(chunk_capacity: usize, magazine_capacity: usize) -> Arc<Self> {
-        Self::build(chunk_capacity, magazine_capacity, false)
-    }
-
-    /// Creates an arena-backed pool with the default capacities:
-    /// aligned, type-stable slabs and address-ordered magazine refills
-    /// (see the `arena` module docs). Same API and safety contract as
-    /// the boxed pool — only slot placement differs.
-    pub fn arena() -> Arc<Self> {
-        Self::arena_with_config(DEFAULT_CHUNK_CAPACITY, DEFAULT_MAGAZINE_CAPACITY)
-    }
-
-    /// Arena-backed pool allocating `chunk_capacity` slots per slab.
-    pub fn arena_with_chunk_capacity(chunk_capacity: usize) -> Arc<Self> {
-        Self::arena_with_config(chunk_capacity, DEFAULT_MAGAZINE_CAPACITY)
-    }
-
-    /// Arena-backed pool with explicit slab and magazine capacities.
-    ///
-    /// # Panics
-    ///
-    /// As [`NodePool::with_config`]; additionally panics if `T` is
-    /// zero-sized (slabs need addressable slots).
-    pub fn arena_with_config(chunk_capacity: usize, magazine_capacity: usize) -> Arc<Self> {
-        assert!(
-            std::mem::size_of::<T>() > 0,
-            "arena pools need sized node types"
-        );
-        Self::build(chunk_capacity, magazine_capacity, true)
-    }
-
-    fn build(chunk_capacity: usize, magazine_capacity: usize, arena: bool) -> Arc<Self> {
         assert!(
             !std::mem::needs_drop::<T>(),
             "NodePool requires nodes without Drop glue"
@@ -391,10 +325,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         Arc::new(Self {
             inner: Lock::new(PoolInner {
                 chunks: Vec::new(),
-                arena: arena.then(|| ArenaDepot {
-                    slabs: Vec::new(),
-                    store: FreeStore::new(),
-                }),
                 depot: Vec::new(),
                 spares: Vec::new(),
                 loose: Vec::new(),
@@ -403,7 +333,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
                 handed_out: 0,
                 chunk_capacity,
             }),
-            arena_mode: arena,
             mags: (0..MAX_THREADS)
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect(),
@@ -413,12 +342,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
             direct_recycled: AtomicU64::new(0),
             exchange_epoch: CachePadded::new(shim::AtomicU64::new(0)),
         })
-    }
-
-    /// Whether this pool is arena-backed (see [`NodePool::arena`]).
-    #[inline]
-    pub fn is_arena(&self) -> bool {
-        self.arena_mode
     }
 
     /// The calling thread's magazine for this pool; `None` only during
@@ -503,29 +426,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         // Explorer yield point: depot exchange about to happen.
         self.exchange_epoch.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        if self.arena_mode {
-            // Address-ordered refill: the free store hands back the
-            // lowest-address cluster of recycled slots as this thread's
-            // next magazine.
-            let take = inner
-                .arena
-                .as_mut()
-                .expect("arena mode has a depot")
-                .store
-                .refill(&mut cache.loaded, self.magazine_capacity);
-            if take > 0 {
-                inner.depot_slots -= take;
-                drop(inner);
-                bump(&mag.cached, take as u64);
-                bump(&mag.recycled, 1);
-                let ptr = cache.loaded.pop().expect("took at least one slot");
-                debit(&mag.cached, 1);
-                return PooledPtr {
-                    ptr,
-                    recycled: true,
-                };
-            }
-        } else if !inner.loose.is_empty() {
+        if !inner.loose.is_empty() {
             // Adopt teardown leftovers as this thread's recycled batch.
             let take = inner.loose.len().min(self.magazine_capacity);
             let at = inner.loose.len() - take;
@@ -581,27 +482,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         self.direct_allocs.fetch_add(1, Ordering::Relaxed);
         self.exchange_epoch.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        if self.arena_mode {
-            let popped = inner
-                .arena
-                .as_mut()
-                .expect("arena mode has a depot")
-                .store
-                .pop_one();
-            if let Some(ptr) = popped {
-                inner.depot_slots -= 1;
-                self.direct_recycled.fetch_add(1, Ordering::Relaxed);
-                return PooledPtr {
-                    ptr,
-                    recycled: true,
-                };
-            }
-            let ptr = inner.bump_one();
-            return PooledPtr {
-                ptr,
-                recycled: false,
-            };
-        }
         if let Some(ptr) = inner.loose.pop() {
             inner.depot_slots -= 1;
             self.direct_recycled.fetch_add(1, Ordering::Relaxed);
@@ -636,10 +516,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
         let Some(mag) = self.magazine() else {
             // Thread teardown: park the slot under the pool lock.
             let mut inner = self.inner.lock();
-            match inner.arena.as_mut() {
-                Some(a) => a.store.push(ptr),
-                None => inner.loose.push(ptr),
-            }
+            inner.loose.push(ptr);
             inner.depot_slots += 1;
             return;
         };
@@ -654,26 +531,11 @@ impl<T: Send + Sync + 'static> NodePool<T> {
                 // continue filling a spare.
                 self.exchange_epoch.fetch_add(1, Ordering::Relaxed);
                 let mut inner = self.inner.lock();
-                if self.arena_mode {
-                    // The arena depot is one flat store: drain the batch
-                    // in place (keeps the buffer) for later address-sorted
-                    // refills.
-                    let n = cache.loaded.len();
-                    inner
-                        .arena
-                        .as_mut()
-                        .expect("arena mode has a depot")
-                        .store
-                        .push_batch(&mut cache.loaded);
-                    debit(&mag.cached, n as u64);
-                    inner.depot_slots += n;
-                } else {
-                    let spare = inner.spares.pop().unwrap_or_default();
-                    let full = std::mem::replace(&mut cache.loaded, spare);
-                    debit(&mag.cached, full.len() as u64);
-                    inner.depot_slots += full.len();
-                    inner.depot.push(full);
-                }
+                let spare = inner.spares.pop().unwrap_or_default();
+                let full = std::mem::replace(&mut cache.loaded, spare);
+                debit(&mag.cached, full.len() as u64);
+                inner.depot_slots += full.len();
+                inner.depot.push(full);
             }
         }
         cache.loaded.push(ptr);
@@ -770,8 +632,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
 
     /// Total slot capacity currently reserved from the OS.
     pub fn capacity(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.chunk_count() * inner.chunk_capacity
+        self.inner.lock().capacity()
     }
 
     /// Snapshot of the pool's slot ledger. Exact when all threads using
@@ -779,7 +640,7 @@ impl<T: Send + Sync + 'static> NodePool<T> {
     pub fn stats(&self) -> PoolStats {
         let (depot, capacity, unallocated) = {
             let inner = self.inner.lock();
-            let cap = inner.chunk_count() * inner.chunk_capacity;
+            let cap = inner.capacity();
             (
                 inner.depot_slots as u64,
                 cap as u64,
@@ -798,26 +659,6 @@ impl<T: Send + Sync + 'static> NodePool<T> {
             capacity,
             unallocated,
         }
-    }
-
-    /// The extended ledger of an arena-backed pool; `None` for boxed
-    /// pools. Exact when all threads using the pool are quiescent.
-    pub fn arena_stats(&self) -> Option<ArenaStats> {
-        if !self.arena_mode {
-            return None;
-        }
-        let pool = self.stats();
-        let inner = self.inner.lock();
-        let a = inner.arena.as_ref().expect("arena mode has a depot");
-        Some(ArenaStats {
-            pool,
-            chunk_capacity: inner.chunk_capacity as u64,
-            slab_allocs: a.slabs.len() as u64,
-            run_refills: a.store.run_refills,
-            freed_slots: a.store.freed,
-            refilled_slots: a.store.refilled,
-            free_store: a.store.len() as u64,
-        })
     }
 
     fn sum_mags(&self, field: impl Fn(&MagazineSlot<T>) -> &AtomicU64) -> u64 {
@@ -1063,117 +904,6 @@ mod tests {
         // Recycling must have happened (the pool would otherwise hold
         // THREADS*OPS slots).
         assert!(pool.capacity() < THREADS * OPS);
-    }
-
-    #[test]
-    fn arena_pool_behaves_like_the_boxed_pool() {
-        // The whole boxed contract, on the arena variant: fresh bumping,
-        // grace-gated recycling, type stability.
-        let domain = Qsbr::new();
-        let h = domain.register();
-        let pool: Arc<NodePool<Node>> = NodePool::arena_with_config(8, 4);
-        assert!(pool.is_arena());
-        let p = pool.alloc(Node::default);
-        assert!(!p.recycled);
-        // SAFETY: unlinked (never published), retired once.
-        unsafe { pool.retire(p.ptr, &h) };
-        h.flush();
-        h.quiescent();
-        h.collect();
-        let q = pool.alloc(Node::default);
-        assert!(q.recycled);
-        assert_eq!(q.ptr, p.ptr, "recycled slot is the retired one");
-        drop(h);
-    }
-
-    #[test]
-    fn arena_slabs_are_aligned_and_contiguous() {
-        let pool: Arc<NodePool<Node>> = NodePool::arena_with_config(16, 4);
-        let ptrs: Vec<usize> = (0..16)
-            .map(|_| pool.alloc(Node::default).ptr as usize)
-            .collect();
-        // A slab's first slot sits on the slab-alignment boundary...
-        let base = *ptrs.iter().min().unwrap();
-        assert_eq!(base % crate::arena::SLAB_ALIGN, 0, "slab base aligned");
-        // ...and all 16 slots of the first slab are dense.
-        let mut sorted = ptrs.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            assert_eq!(w[1] - w[0], std::mem::size_of::<Node>(), "dense slots");
-        }
-    }
-
-    #[test]
-    fn arena_refills_are_address_ordered() {
-        // Overflow both magazines into the free store, then drain it
-        // back: the refilled batch must be the lowest-address cluster.
-        let pool: Arc<NodePool<Node>> = NodePool::arena_with_config(1024, 4);
-        let ptrs: Vec<_> = (0..32).map(|_| pool.alloc(Node::default).ptr).collect();
-        for p in &ptrs {
-            // SAFETY: never published.
-            unsafe { pool.dealloc_unpublished(*p) };
-        }
-        let st = pool.arena_stats().expect("arena pool");
-        assert!(st.free_store > 0, "overflow reached the store: {st:?}");
-        assert_eq!(st.freed_slots, st.refilled_slots + st.free_store, "{st:?}");
-        // Drain magazines (loaded + prev = 8 slots), forcing a store refill.
-        let mut got = Vec::new();
-        for _ in 0..12 {
-            let p = pool.alloc(Node::default);
-            assert!(p.recycled, "no growth while free slots exist");
-            got.push(p.ptr as usize);
-        }
-        let st2 = pool.arena_stats().expect("arena pool");
-        assert!(st2.run_refills > st.run_refills, "a refill happened");
-        // The slots that came *out of the store* (after the 8 cached ones)
-        // are the lowest addresses that were parked there.
-        let refilled = &got[8..];
-        let mut parked: Vec<usize> = ptrs.iter().map(|p| *p as usize).collect();
-        parked.sort_unstable();
-        for (i, p) in refilled.iter().enumerate() {
-            assert!(
-                parked[..st.free_store as usize].contains(p),
-                "refill slot {i} not from the store's low cluster"
-            );
-        }
-        for (label, lhs, rhs) in st2.conservation() {
-            assert_eq!(lhs, rhs, "arena ledger `{label}`: {st2:?}");
-        }
-    }
-
-    #[test]
-    fn arena_conservation_ledger_balances_after_churn() {
-        let domain = Qsbr::new();
-        let h = domain.register();
-        let pool: Arc<NodePool<Node>> = NodePool::arena_with_config(16, 4);
-        let mut live = Vec::new();
-        for i in 0..200u64 {
-            let p = pool.alloc(Node::default);
-            live.push(p.ptr);
-            if i % 3 == 0 {
-                let victim = live.swap_remove((i as usize * 7) % live.len());
-                // SAFETY: victim is live, unlinked, retired once.
-                unsafe { pool.retire(victim, &h) };
-            }
-            h.quiescent();
-        }
-        h.flush();
-        h.quiescent();
-        h.collect();
-        let st = pool.arena_stats().expect("arena pool");
-        assert_eq!(st.pool.in_grace, 0, "{st:?}");
-        assert_eq!(st.pool.live() as usize, live.len(), "{st:?}");
-        for (label, lhs, rhs) in st.conservation() {
-            assert_eq!(lhs, rhs, "arena ledger `{label}`: {st:?}");
-        }
-        drop(h);
-    }
-
-    #[test]
-    fn boxed_pool_has_no_arena_stats() {
-        let pool: Arc<NodePool<Node>> = NodePool::new();
-        assert!(!pool.is_arena());
-        assert!(pool.arena_stats().is_none());
     }
 
     #[test]

@@ -88,15 +88,7 @@ unsafe impl<const FINE: bool> Sync for OptikSkipList<FINE> {}
 impl<const FINE: bool> OptikSkipList<FINE> {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        Self::from_pool(NodePool::new())
-    }
-
-    /// Creates an empty skip list with an arena-backed node pool.
-    pub fn new_arena() -> Self {
-        Self::from_pool(NodePool::arena())
-    }
-
-    fn from_pool(pool: Arc<NodePool<Node>>) -> Self {
+        let pool = NodePool::new();
         let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
         let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes.
