@@ -11,7 +11,7 @@
 //! RUSTFLAGS='--cfg optik_explore' cargo test -p optik-explore --test explore_kv
 //! ```
 //!
-//! Three interleaving families, one per dynamic behaviour the stress
+//! Four interleaving families, one per dynamic behaviour the stress
 //! tier can only sample:
 //!
 //! 1. **TTL expiry vs put** — a `FakeClock` advance racing reads and
@@ -21,6 +21,9 @@
 //!    ([`MapSpec`]).
 //! 3. **`range_scan` vs rebalance** — a cross-shard window scan racing
 //!    a boundary migration plus a write ([`RangeMapSpec`]).
+//! 4. **hash-sharded `range_scan` vs two puts** — a scan over every
+//!    shard racing two sequential writes to different shards
+//!    ([`RangeMapSpec`]): the scan must be one cut across shards.
 //!
 //! Every enumerated schedule replays the ops against the sequential
 //! spec with the Wing–Gong checker; a failure message always carries
@@ -36,6 +39,7 @@
 #![cfg(optik_explore)]
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use optik_explore::{explore, Config, Hist, Trial};
@@ -405,5 +409,74 @@ fn range_scan_races_rebalance_and_put() {
     assert!(
         scans.contains(&[Some(1), Some(22), Some(3)]),
         "no scan linearized after the put: {scans:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Family 4: hash-sharded range_scan vs two puts on different shards.
+// ---------------------------------------------------------------------------
+
+/// Two-shard hash store and three tracked keys: the first two route to
+/// shards 0 and 1 (the order a scan visits them), the third is never
+/// written.
+fn hash_range_keys() -> [u64; 3] {
+    let probe: KvStore<OptikSkipList2> = KvStore::with_shards(2, |_| OptikSkipList2::new());
+    let on = |shard: usize, from: u64| (from..).find(|&k| probe.shard_of(k) == shard).unwrap();
+    let a = on(0, 10);
+    let b = on(1, a + 1);
+    [a, b, b + 1]
+}
+
+#[test]
+fn hash_range_scan_is_one_cut_across_shards() {
+    let keys = hash_range_keys();
+    let mut scans: BTreeSet<[Option<u64>; 3]> = BTreeSet::new();
+    let stats = explore(kv_config(2), |trial| {
+        let store: KvStore<OptikSkipList2> = KvStore::with_shards(2, |_| OptikSkipList2::new());
+        let hist: Hist<RangeOp> = Hist::new();
+        // `trial.now()` would stamp the first put's response and the
+        // second put's invocation equally (no scheduling step lies
+        // between them), letting the checker reorder the two puts. Only
+        // the granted thread runs between steps, so a plain counter
+        // ticked at every stamp orders all events as they happened.
+        let seq = AtomicU64::new(0);
+        let tick = || seq.fetch_add(1, Ordering::SeqCst);
+        trial.run(&[
+            &|| {
+                // Put the shard-0 key, then the shard-1 key: a scan that
+                // sees the second but misses the first is not a snapshot.
+                for (idx, val) in [(0, 1), (1, 2)] {
+                    let i = tick();
+                    let prev = store.put(keys[idx], val);
+                    hist.push(i, tick(), RangeOp::Put(idx, val, prev));
+                }
+            },
+            &|| {
+                let i = tick();
+                let scan = store.range_scan(0, u64::MAX);
+                let seen = keys.map(|k| scan.iter().find(|&&(key, _)| key == k).map(|&(_, v)| v));
+                hist.push(i, tick(), RangeOp::Range(seen));
+            },
+        ]);
+        let h = timed(&hist);
+        scans.extend(h.iter().filter_map(|t| match t.op {
+            RangeOp::Range(seen) => Some(seen),
+            _ => None,
+        }));
+        assert!(
+            check(&RangeMapSpec::default(), &h),
+            "hash-range-vs-puts: non-linearizable history {h:?}; replay with schedule token {}",
+            trial.token()
+        );
+    });
+    eprintln!("explore_kv::hash_range_scan_is_one_cut_across_shards: {stats}");
+    assert!(!stats.truncated, "tree not exhausted: {stats}");
+    assert!(
+        scans.contains(&[None, None, None]),
+        "no scan linearized before the puts: {scans:?}"
+    );
+    assert!(
+        scans.contains(&[Some(1), Some(2), None]),
+        "no scan linearized after the puts: {scans:?}"
     );
 }

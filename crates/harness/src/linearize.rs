@@ -50,6 +50,36 @@ pub struct Timed<O> {
     pub op: O,
 }
 
+/// Opens an operation's interval. `rdtsc` is not ordered with the loads
+/// that follow it, so an unfenced stamp can be taken *after* the
+/// operation's first read and shrink the interval below what the thread
+/// really spent; `lfence` keeps every later instruction behind the stamp.
+#[inline]
+fn invoke_stamp() -> u64 {
+    let t = synchro::cycles::now();
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86_64 baseline.
+    unsafe {
+        core::arch::x86_64::_mm_lfence()
+    };
+    t
+}
+
+/// Closes an operation's interval only once its stores are globally
+/// visible (`mfence` drains the store buffer — a plain releasing store,
+/// such as an unlock, is not visible to other threads when it retires)
+/// and every earlier instruction has completed (`lfence`).
+#[inline]
+fn response_stamp() -> u64 {
+    std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86_64 baseline.
+    unsafe {
+        core::arch::x86_64::_mm_lfence()
+    };
+    synchro::cycles::now()
+}
+
 /// Per-thread recorder producing [`Timed`] operations from the shared
 /// cycle counter.
 #[derive(Debug)]
@@ -70,11 +100,12 @@ impl<O> HistoryRecorder<O> {
     }
 
     /// Times `f` with [`synchro::cycles::now`] and records `to_op` of its
-    /// outcome.
+    /// outcome. The stamps are fenced so that `[invoke, response]`
+    /// brackets every memory access of `f` (see `invoke_stamp`).
     pub fn record<R>(&mut self, f: impl FnOnce() -> R, to_op: impl FnOnce(R) -> O) {
-        let invoke = synchro::cycles::now();
+        let invoke = invoke_stamp();
         let outcome = f();
-        let response = synchro::cycles::now();
+        let response = response_stamp();
         self.ops.push(Timed {
             invoke,
             response,
@@ -952,6 +983,47 @@ mod tests {
             rop(4, 5, RangeOp::Range([None, Some(20), None])),
         ];
         assert!(!check(&RangeMapSpec::default(), &h));
+    }
+
+    #[test]
+    fn range_overlapping_two_sequential_puts_cannot_see_only_the_second() {
+        // The range overlaps both puts, but the puts are ordered: any
+        // point after the second put is also after the first.
+        let h = [
+            rop(0, 2, RangeOp::Put(0, 1, None)),
+            rop(1, 5, RangeOp::Range([None, Some(2), None])),
+            rop(3, 4, RangeOp::Put(1, 2, None)),
+        ];
+        assert!(!check(&RangeMapSpec::default(), &h));
+        let h = [
+            rop(0, 2, RangeOp::Put(0, 1, None)),
+            rop(1, 5, RangeOp::Range([Some(1), None, None])),
+            rop(3, 4, RangeOp::Put(1, 2, None)),
+        ];
+        assert!(check(&RangeMapSpec::default(), &h), "cut between the puts");
+    }
+
+    #[test]
+    fn recorded_intervals_follow_program_order() {
+        let cell = std::sync::atomic::AtomicU64::new(0);
+        let mut rec = HistoryRecorder::new();
+        for v in 1..=8u64 {
+            rec.record(
+                || cell.swap(v, std::sync::atomic::Ordering::Relaxed),
+                |prev| (prev, v),
+            );
+        }
+        let ops = rec.into_ops();
+        assert_eq!(ops.len(), 8);
+        assert!(ops.iter().all(|o| o.invoke <= o.response), "{ops:?}");
+        assert!(
+            ops.windows(2).all(|w| w[0].response <= w[1].invoke),
+            "a later op invoked before an earlier one responded: {ops:?}"
+        );
+        assert!(ops
+            .iter()
+            .enumerate()
+            .all(|(i, o)| o.op == (i as u64, i as u64 + 1)));
     }
 
     #[test]

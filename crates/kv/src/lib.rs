@@ -60,8 +60,9 @@
 //!
 //! Ordered backends (the skip lists and BSTs, via
 //! `optik_harness::api::OrderedMap`) additionally serve **range scans**:
-//! [`KvStore::range_scan`] collects a `[lo, hi]` window per shard with the
-//! same optimistic validate-then-lock-fallback discipline as full scans,
+//! [`KvStore::range_scan`] collects a `[lo, hi]` window as one atomic
+//! cut across the involved shards (every shard version read before the
+//! collect and validated after it, with a sorted shard-lock fallback),
 //! and [`KvStore::with_ordered_shards`] switches the store from hash
 //! sharding to contiguous key partitions so a range touches only the
 //! shards it intersects.

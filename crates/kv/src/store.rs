@@ -1344,103 +1344,111 @@ impl<B: OrderedMap> KvStore<B> {
         )
     }
 
-    /// One shard's `[lo, hi]` window as a version-consistent snapshot:
-    /// optimistic collect-and-validate, falling back to the shard lock
-    /// (under which the backend's range pass is exact — writers are
-    /// excluded, so the backend traversal sees a quiescent structure).
-    fn shard_range(&self, i: usize, lo: Key, hi: Key, buf: &mut Vec<(Key, Val)>) {
+    /// Appends shard `i`'s `[lo, hi]` window to `out`, dropping entries
+    /// expired at `now`. Exact only inside a validated window or under
+    /// the shard lock.
+    fn collect_range(
+        &self,
+        i: usize,
+        lo: Key,
+        hi: Key,
+        now: Option<u64>,
+        out: &mut Vec<(Key, Val)>,
+    ) {
         let shard = &self.shards[i];
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            buf.clear();
-            let t0 = optik_probe::now();
-            let v = shard.lock.get_version_wait();
-            shard.map.range(lo, hi, &mut |k, val| buf.push((k, val)));
-            // Clock sample inside the validated window (see
-            // `read_entry`): the window scan linearizes at this tick.
-            self.filter_expired(shard, buf, self.now_opt());
-            if shard.lock.validate(v) {
-                optik_probe::record(
-                    optik_probe::HistKind::ValidationWindow,
-                    optik_probe::elapsed(t0, optik_probe::now()),
-                );
-                return;
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            bo.backoff();
+        match (now, &shard.deadlines) {
+            (Some(now), Some(dl)) => shard.map.range(lo, hi, &mut |k, v| {
+                if !dl.get(k).is_some_and(|d| d <= now) {
+                    out.push((k, v));
+                }
+            }),
+            _ => shard.map.range(lo, hi, &mut |k, v| out.push((k, v))),
         }
-        buf.clear();
-        shard.lock.lock();
-        shard.map.range(lo, hi, &mut |k, val| buf.push((k, val)));
-        self.filter_expired(shard, buf, self.now_opt());
-        shard.lock.revert(); // read-only critical section
     }
 
-    /// Collects every entry with key in `[lo, hi]`, sorted by key, each
-    /// shard's contribution a version-consistent snapshot (the same
-    /// guarantee as [`KvStore::scan`], restricted to the window).
+    /// Collects every entry with key in `[lo, hi]`, sorted by key, as one
+    /// atomic snapshot of the whole window.
+    ///
+    /// The involved shards are read with a double collect, the same cut
+    /// [`KvStore::multi_get`] takes: every involved shard's version is
+    /// read before the first entry is collected, and every version (plus
+    /// the routing version) is validated after the last. All entry reads
+    /// therefore fall inside every involved shard's `[version read,
+    /// validate]` window, so the scan linearizes at any instant between
+    /// the last version read and the first validation — a scan can never
+    /// see a later write on one shard while missing an earlier write on
+    /// another. After eight failed rounds it locks the involved shards in
+    /// ascending order (read-only, released with `revert`; routing is
+    /// re-validated under the locks) and collects exactly.
     ///
     /// Under ordered sharding only the shards intersecting the window are
-    /// visited, in key order, so the result is a concatenation — and the
-    /// routing version is validated across the whole walk, so a window
-    /// raced by a boundary migration retries rather than missing or
-    /// double-counting migrated keys (after eight failed rounds: lock
-    /// every shard, under which routing is frozen and the passes are
-    /// exact). Under hash sharding every shard is visited and the result
-    /// is sorted afterwards.
+    /// involved, and their (already sorted) partition scans concatenate in
+    /// key order. Under hash sharding every shard is involved and the
+    /// result is sorted afterwards.
     pub fn range_scan(&self, lo: Key, hi: Key) -> Vec<(Key, Val)> {
         let mut out = Vec::new();
         if lo > hi {
             return out;
         }
-        let mut buf = Vec::new();
-        if self.policy.range_cover(lo, hi).is_none() {
-            for i in 0..self.shards.len() {
-                self.shard_range(i, lo, hi, &mut buf);
-                out.append(&mut buf);
-            }
-            out.sort_unstable();
-            return out;
-        }
+        let last_shard = self.shards.len() - 1;
+        let hashed = self.policy.range_cover(lo, hi).is_none();
+        let cover = || self.policy.range_cover(lo, hi).unwrap_or((0, last_shard));
+        let mut versions = Vec::new();
         let mut bo = Backoff::adaptive();
+        let t0 = optik_probe::now();
+        let mut retried = false;
         for _ in 0..OPTIMISTIC_ATTEMPTS {
             out.clear();
             let rv = self.policy.version();
-            let (first, last) = self
-                .policy
-                .range_cover(lo, hi)
-                .expect("contiguous policy stays contiguous");
+            let (first, last) = cover();
+            versions.clear();
+            versions.extend((first..=last).map(|i| self.shards[i].lock.get_version_wait()));
+            let w0 = optik_probe::now();
+            // Clock sample inside the validated window (see
+            // `read_entry`): the whole scan linearizes at this tick.
+            let now = self.now_opt();
             for i in first..=last {
-                self.shard_range(i, lo, hi, &mut buf);
-                out.append(&mut buf);
+                self.collect_range(i, lo, hi, now, &mut out);
             }
-            if self.policy.validate(rv) {
+            if self.policy.validate(rv)
+                && (first..=last)
+                    .zip(&versions)
+                    .all(|(i, &v)| self.shards[i].lock.validate(v))
+            {
+                optik_probe::record(
+                    optik_probe::HistKind::ValidationWindow,
+                    optik_probe::elapsed(w0, optik_probe::now()),
+                );
+                if retried {
+                    record_retry_loop(t0);
+                }
+                if hashed {
+                    out.sort_unstable();
+                }
                 return out;
             }
             optik_probe::count(optik_probe::Event::ReadRetry);
+            retried = true;
             bo.backoff();
         }
-        // Migration storm: lock every shard — routing is frozen and the
-        // backend passes are exact.
+        record_retry_loop(t0);
+        // Contended fallback: sorted acquisition of the involved shards
+        // (lock_batch re-checks the cover against racing migrations, and
+        // a held shard lock freezes its partition bounds).
         out.clear();
-        for s in self.shards.iter() {
-            s.lock.lock();
-        }
+        let ids = self.lock_batch(&|| {
+            let (first, last) = cover();
+            (first..=last).collect()
+        });
         let now = self.now_opt();
-        let (first, last) = self
-            .policy
-            .range_cover(lo, hi)
-            .expect("contiguous policy stays contiguous");
-        for i in first..=last {
-            buf.clear();
-            self.shards[i]
-                .map
-                .range(lo, hi, &mut |k, v| buf.push((k, v)));
-            self.filter_expired(&self.shards[i], &mut buf, now);
-            out.append(&mut buf);
+        for &i in &ids {
+            self.collect_range(i, lo, hi, now, &mut out);
         }
-        for s in self.shards.iter().rev() {
-            s.lock.revert();
+        for &i in ids.iter().rev() {
+            self.shards[i].lock.revert();
+        }
+        if hashed {
+            out.sort_unstable();
         }
         out
     }
@@ -1767,6 +1775,96 @@ mod tests {
             assert!(s.range_scan(7, 7).is_empty(), "odd keys were never put");
             assert_eq!(s.range_scan(8, 8), vec![(8, 80)]);
             assert!(s.range_scan(10, 9).is_empty(), "inverted window");
+        }
+    }
+
+    /// One writer puts `a`, then `b`, with rising values while a reader
+    /// scans a window holding both. A scan is one cut, so it never sees
+    /// `b`'s newer value beside an older value of `a`.
+    fn scans_never_see_the_later_put_alone<B: OrderedMap + 'static>(s: KvStore<B>, a: Key, b: Key) {
+        assert_ne!(s.shard_of(a), s.shard_of(b), "keys must span shards");
+        let s = Arc::new(s);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for v in 1..=synchro::stress::ops(20_000) {
+                    s.put(a, v);
+                    s.put(b, v);
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let reader = std::thread::spawn(move || {
+            let mut scans = 0u64;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let win = s.range_scan(a.min(b), a.max(b));
+                let val = |k: Key| win.iter().find(|e| e.0 == k).map_or(0, |e| e.1);
+                let (va, vb) = (val(a), val(b));
+                assert!(vb <= va && va <= vb + 1, "torn cut: a={va} b={vb}");
+                scans += 1;
+                if finished {
+                    return scans;
+                }
+            }
+        });
+        reclaim::offline_while(|| {
+            writer.join().unwrap();
+            assert!(reader.join().unwrap() > 0);
+        });
+    }
+
+    #[test]
+    fn hash_range_scan_is_one_cut_across_shards() {
+        let s: KvStore<OptikSkipList2> = KvStore::with_shards(2, |_| OptikSkipList2::new());
+        // The scan visits shard 0 first: put its key first, so a scan
+        // that reads each shard on its own could see only the second put.
+        let a = (1..).find(|&k| s.shard_of(k) == 0).unwrap();
+        let b = (a + 1..).find(|&k| s.shard_of(k) == 1).unwrap();
+        scans_never_see_the_later_put_alone(s, a, b);
+    }
+
+    #[test]
+    fn combined_writes_keep_the_hash_range_scan_one_cut() {
+        // Every put travels the publication list and is applied by a
+        // combiner; the shard version must still cover it.
+        let s: KvStore<OptikSkipList2> = KvStore::with_shards(2, |_| OptikSkipList2::new())
+            .with_combine_mode(CombineMode::Eager);
+        let a = (1..).find(|&k| s.shard_of(k) == 0).unwrap();
+        let b = (a + 1..).find(|&k| s.shard_of(k) == 1).unwrap();
+        scans_never_see_the_later_put_alone(s, a, b);
+    }
+
+    #[test]
+    fn ordered_range_scan_is_one_cut_across_partitions() {
+        let s: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards(2, 100, |_| OptikSkipList2::new());
+        scans_never_see_the_later_put_alone(s, 10, 90);
+    }
+
+    #[test]
+    fn range_scan_hides_expired_entries_on_both_shardings() {
+        use crate::ttl::FakeClock;
+        let clock = Arc::new(FakeClock::new());
+        let hash: KvStore<OptikSkipList2> =
+            KvStore::with_shards_ttl(4, clock.clone(), |_| OptikSkipList2::new());
+        let ordered: KvStore<OptikSkipList2> =
+            KvStore::with_ordered_shards_ttl(4, 400, clock.clone(), |_| OptikSkipList2::new());
+        for s in [&hash, &ordered] {
+            for k in 1..=400u64 {
+                if k % 2 == 0 {
+                    s.put_with_ttl(k, k, 5);
+                } else {
+                    s.put(k, k);
+                }
+            }
+        }
+        clock.advance(5);
+        let want: Vec<(u64, u64)> = (1..=400u64).step_by(2).map(|k| (k, k)).collect();
+        for s in [&hash, &ordered] {
+            assert_eq!(s.range_scan(1, 400), want);
+            assert!(s.range_scan(2, 2).is_empty(), "expired key in window");
         }
     }
 

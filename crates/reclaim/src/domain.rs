@@ -571,6 +571,38 @@ mod tests {
     }
 
     #[test]
+    fn reused_slot_gates_a_batch_sealed_after_reregistration() {
+        // A released slot counts as overtaken, but re-registering it bumps
+        // ts: a batch sealed after the new owner arrived waits for it.
+        let domain = Qsbr::new();
+        let drops = Arc::new(AtomicU64::new(0));
+        let h1 = domain.register();
+        let gone = domain.register();
+        let slot = gone.slot;
+        drop(gone);
+        let h2 = domain.register();
+        assert_eq!(h2.slot, slot, "the released slot is reused");
+
+        let p = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+        // SAFETY: p is a unique Box pointer, unreachable elsewhere.
+        unsafe { h1.retire(p) };
+        h1.flush();
+        h1.quiescent();
+        h1.collect();
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "freed before the slot's new owner passed a quiescent point"
+        );
+
+        h2.quiescent();
+        h1.quiescent();
+        h1.collect();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        drop((h1, h2));
+    }
+
+    #[test]
     fn offline_thread_does_not_stall_reclamation() {
         let domain = Qsbr::new();
         let drops = Arc::new(AtomicU64::new(0));

@@ -641,22 +641,13 @@ fn kv_range_scans_stay_sorted_and_complete_under_churn_full() {
     range_scans_under_churn(2_000);
 }
 
-/// Writers rewrite a *single-partition* working set wholesale (batched:
-/// all keys → one tag, or all removed) while scanners take bounded range
-/// scans over exactly that window. Because the working set lives in one
-/// ordered shard and `range_scan` validates per shard, every returned
-/// window must show the working set complete-with-one-tag or entirely
-/// absent — the range analogue of `scan_consistency`.
-fn range_scan_snapshot_consistency(rounds: u64) {
-    // span = 64: keys 11..=18 are colocated in shard 0.
-    let s = Arc::new(KvStore::with_ordered_shards(4, 256, |_| {
-        OptikSkipList2::new()
-    }));
-    let keys: Vec<u64> = (11..=18).collect();
-    assert!(
-        keys.iter().all(|&k| s.shard_of(k) == 0),
-        "working set must be colocated for the test to mean anything"
-    );
+/// Writers rewrite a working set wholesale (batched: all keys → one tag,
+/// or all removed) while scanners take bounded range scans over exactly
+/// that window. `range_scan` is one cut across every shard it reads, so
+/// every returned window must show the working set complete-with-one-tag
+/// or entirely absent — the range analogue of `scan_consistency`.
+fn range_window_snapshots(s: Arc<KvStore<OptikSkipList2>>, keys: Vec<u64>, rounds: u64) {
+    let (lo, hi) = (keys[0], keys[keys.len() - 1]);
     s.multi_put(&keys.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -682,7 +673,7 @@ fn range_scan_snapshot_consistency(rounds: u64) {
             // Check-after-work: at least one window per run even if the
             // writer finishes before this thread is first scheduled.
             loop {
-                let win = s.range_scan(11, 18);
+                let win = s.range_scan(lo, hi);
                 assert!(
                     win.is_empty() || win.len() == keys.len(),
                     "partial working set in range window: {} of {} keys",
@@ -713,6 +704,47 @@ fn range_scan_snapshot_consistency(rounds: u64) {
     });
 }
 
+/// The working set lives in one ordered shard: one shard version covers
+/// the whole window.
+fn range_scan_snapshot_consistency(rounds: u64) {
+    // span = 64: keys 11..=18 are colocated in shard 0.
+    let s = Arc::new(KvStore::with_ordered_shards(4, 256, |_| {
+        OptikSkipList2::new()
+    }));
+    let keys: Vec<u64> = (11..=18).collect();
+    assert!(
+        keys.iter().all(|&k| s.shard_of(k) == 0),
+        "working set must be colocated for the test to mean anything"
+    );
+    range_window_snapshots(s, keys, rounds);
+}
+
+/// The working set spans every shard of a hash-sharded store: the window
+/// is only atomic if the scan cuts all shards at one instant.
+fn range_window_across_hash_shards(rounds: u64) {
+    let s = Arc::new(KvStore::with_shards(4, |_| OptikSkipList2::new()));
+    let keys: Vec<u64> = (11..=26).collect();
+    assert!(
+        (0..4).all(|i| keys.iter().any(|&k| s.shard_of(k) == i)),
+        "working set must span every shard for the test to mean anything"
+    );
+    range_window_snapshots(s, keys, rounds);
+}
+
+/// The working set straddles all four ordered partitions.
+fn range_window_across_partitions(rounds: u64) {
+    // span = 64: keys 60..=200 step 20 touch shards 0 through 3.
+    let s = Arc::new(KvStore::with_ordered_shards(4, 256, |_| {
+        OptikSkipList2::new()
+    }));
+    let keys: Vec<u64> = (60..=200).step_by(20).collect();
+    assert!(
+        (0..4).all(|i| keys.iter().any(|&k| s.shard_of(k) == i)),
+        "working set must span every partition for the test to mean anything"
+    );
+    range_window_snapshots(s, keys, rounds);
+}
+
 #[test]
 fn kv_range_windows_are_consistent_snapshots_under_batch_writes() {
     range_scan_snapshot_consistency(synchro::stress::ops(3_000));
@@ -722,6 +754,23 @@ fn kv_range_windows_are_consistent_snapshots_under_batch_writes() {
 #[ignore = "full-strength kv range-snapshot tier; run in CI via --ignored"]
 fn kv_range_windows_are_consistent_snapshots_under_batch_writes_full() {
     range_scan_snapshot_consistency(15_000);
+}
+
+#[test]
+fn kv_range_windows_are_atomic_across_hash_shards() {
+    range_window_across_hash_shards(synchro::stress::ops(3_000));
+}
+
+#[test]
+fn kv_range_windows_are_atomic_across_partitions() {
+    range_window_across_partitions(synchro::stress::ops(3_000));
+}
+
+#[test]
+#[ignore = "full-strength cross-shard range-snapshot tier; run in CI via --ignored"]
+fn kv_range_windows_are_atomic_across_shards_full() {
+    range_window_across_hash_shards(15_000);
+    range_window_across_partitions(15_000);
 }
 
 // ---------------------------------------------------------------------------

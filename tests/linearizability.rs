@@ -239,10 +239,11 @@ fn check_map_rounds(
 /// earlier write to another.
 ///
 /// Only subjects whose ranges are **validated snapshots** qualify: the
-/// kv stores (`kv/…` subject ids), whose `range_scan` collects each shard
-/// under a version validate / shard-lock fallback — and whose ordered
-/// partitions are wide enough that the tracked keys colocate in one
-/// shard, making the whole window one atomic snapshot. The raw backends
+/// kv stores (`kv/…` subject ids), whose `range_scan` takes one cut
+/// across every involved shard (all shard versions read before the
+/// collect and validated after it, with a shard-lock fallback), so the
+/// whole window is one atomic snapshot however the tracked keys are
+/// spread over shards. The raw backends
 /// deliberately promise only quiescence-consistent ranges (see
 /// `OrderedMap`'s docs: concurrent updates "can be missed or included"),
 /// so asserting snapshot linearizability on them would be a false alarm
