@@ -5,8 +5,9 @@
 //! re-execution, so any interleaving the explorer ever found interesting
 //! can be pinned here and kept green forever — a failing schedule is a
 //! unit test, not a flake. The model-program pins run in tier-1 (the
-//! `traced` atomics always trap); the kv-level pin needs the shim yield
-//! points and is gated on `--cfg optik_explore` like `explore_kv.rs`.
+//! `traced` atomics always trap); the pool, combining and kv-level pins
+//! need the shim yield points and are gated on `--cfg optik_explore` like
+//! `explore_kv.rs`.
 //!
 //! Re-pinning: the static token below encodes the model's exact trap
 //! sequence. If a deliberate scheduler or model change breaks it, run
@@ -384,6 +385,78 @@ fn kv_ttl_expiry_schedule_replays() {
         }
     });
     let (token, outcome) = pinned.expect("some schedule expires before the put");
+    for _ in 0..2 {
+        replay(kv_cfg, &token, |trial| {
+            let out = run(trial);
+            assert_eq!(
+                out, outcome,
+                "kv replay of {token} changed the observable outcome"
+            );
+        });
+    }
+}
+
+/// The hash-sharded `range_scan` cut family of `explore_kv.rs`, pinned.
+/// One thread puts a shard-0 key and then a shard-1 key; the other scans
+/// the whole store. The pinned schedule is one whose scan linearizes
+/// *between* the two puts: it sees the first key and not the second.
+/// Every explored schedule must also avoid the torn cut (the second key
+/// without the first), which per-shard validation allowed. The bound is
+/// two preemptions, as in the family: with one, the torn cut is not
+/// reachable even on per-shard validation. The store mounts
+/// `OptikSkipList2`, so the replay also drives the skip list's
+/// tower-class layout through the shim yield points.
+#[cfg(optik_explore)]
+#[test]
+fn hash_range_scan_cut_schedule_replays() {
+    use std::sync::Mutex;
+
+    use optik_kv::KvStore;
+    use optik_skiplists::OptikSkipList2;
+
+    let kv_cfg = Config {
+        max_steps: 20_000,
+        max_schedules: 400_000,
+        preemptions: Some(2),
+        sleep_sets: true,
+    };
+    let new_store = || KvStore::<OptikSkipList2>::with_shards(2, |_| OptikSkipList2::new());
+    // A key on each shard plus an untouched neighbour, as in the family.
+    let keys: [u64; 3] = {
+        let probe = new_store();
+        let on = |shard: usize, from: u64| (from..).find(|&k| probe.shard_of(k) == shard).unwrap();
+        let a = on(0, 10);
+        let b = on(1, a + 1);
+        [a, b, b + 1]
+    };
+    /// What the scan saw of each tracked key.
+    type Outcome = [Option<u64>; 3];
+    let run = |trial: &Trial| -> Outcome {
+        let store = new_store();
+        let seen = Mutex::new([None; 3]);
+        trial.run(&[
+            &|| {
+                store.put(keys[0], 1);
+                store.put(keys[1], 2);
+            },
+            &|| {
+                let scan = store.range_scan(0, u64::MAX);
+                *seen.lock().unwrap() =
+                    keys.map(|k| scan.iter().find(|&&(key, _)| key == k).map(|&(_, v)| v));
+            },
+        ]);
+        let out = *seen.lock().unwrap();
+        out
+    };
+    let mut pinned: Option<(Token, Outcome)> = None;
+    explore(kv_cfg, |trial| {
+        let out = run(trial);
+        assert_ne!(out, [None, Some(2), None], "torn cut on {}", trial.token());
+        if out == [Some(1), None, None] && pinned.is_none() {
+            pinned = Some((trial.token(), out));
+        }
+    });
+    let (token, outcome) = pinned.expect("some scan linearizes between the puts");
     for _ in 0..2 {
         replay(kv_cfg, &token, |trial| {
             let out = run(trial);

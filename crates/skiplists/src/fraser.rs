@@ -41,20 +41,19 @@
 //! allow **re-publication chains** (an unlink sweep re-installs a frozen
 //! pointer whose target is itself long-deleted), so no fixed number of
 //! grace periods bounds a dead node's reachability. Slots are therefore
-//! **never re-circulated**: nodes come out of a type-stable [`NodePool`]
+//! **never re-circulated**: nodes come out of type-stable class pools
 //! (magazine-cached allocation), but retired ones park on a deferred list
 //! ([`FraserSkipList::retire_deferred`]) until the structure — and with it
-//! the pool — drops. Correct by construction, at the cost of holding
+//! the pools — drops. Correct by construction, at the cost of holding
 //! deleted nodes' memory for the structure's lifetime. See
 //! EXPERIMENTS.md, correctness note 3, for the full analysis.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{pin_first_line, TowerNode, TowerPool};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     TAIL_KEY,
@@ -88,6 +87,9 @@ const LINK_DONE: usize = 1;
 /// Delete finished first; retirement is handed to the inserter.
 const RETIRE_HANDOFF: usize = 2;
 
+/// A node header; its tower of marked words follows it in a
+/// cache-line slot (see [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// The binding, or `FROZEN` once removed (see the const docs).
@@ -101,10 +103,16 @@ pub(crate) struct Node {
     state: AtomicUsize,
     /// Intrusive link for the structure's deferred-reclamation list.
     gc_next: AtomicUsize,
-    /// Inline fixed-height tower of marked words (only `0..=top_level` is
-    /// used): keeps the node free of drop glue so it can live in a
-    /// type-stable pool slot.
-    next: [AtomicUsize; MAX_LEVEL],
+}
+
+pin_first_line!(Node: key, val, top_level, state, gc_next);
+
+impl TowerNode for Node {
+    type Link = AtomicUsize;
+
+    fn top_level(&self) -> usize {
+        self.top_level
+    }
 }
 
 impl Node {
@@ -115,7 +123,6 @@ impl Node {
             top_level,
             state: AtomicUsize::new(LINKING),
             gc_next: AtomicUsize::new(0),
-            next: std::array::from_fn(|_| AtomicUsize::new(0)),
         }
     }
 }
@@ -124,13 +131,14 @@ impl Node {
 pub struct FraserSkipList {
     head: *mut Node,
     /// Head of the deferred-reclamation list (see the module docs: slots
-    /// on it are never handed back to the pool during the structure's
+    /// on it are never handed back to the pools during the structure's
     /// lifetime).
     garbage: AtomicUsize,
-    /// Type-stable node pool — allocation-only here: the magazine fast
-    /// path serves inserts, but re-publication chains forbid recycling,
-    /// so retired slots wait on `garbage` until the pool drops.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools, one per tower class — allocation-only
+    /// here: the magazine fast path serves inserts, but re-publication
+    /// chains forbid recycling, so retired slots wait on `garbage` until
+    /// the pools drop.
+    pool: TowerPool<Node>,
 }
 
 // SAFETY: all mutation is CAS on next words; QSBR + the single-retirer
@@ -141,13 +149,13 @@ unsafe impl Sync for FraserSkipList {}
 impl FraserSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        let pool = NodePool::new();
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1));
+        let pool = TowerPool::new();
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail as usize, Ordering::Relaxed);
+                Node::link(head, l).store(tail as usize, Ordering::Relaxed);
             }
         }
         Self {
@@ -177,7 +185,7 @@ impl FraserSkipList {
             'retry: loop {
                 let mut pred = self.head;
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut pred_w = (*pred).next[l].load(Ordering::Acquire);
+                    let mut pred_w = Node::link(pred, l).load(Ordering::Acquire);
                     if marked(pred_w) {
                         // pred got deleted under us; restart.
                         continue 'retry;
@@ -185,11 +193,11 @@ impl FraserSkipList {
                     let mut cur = unmark(pred_w) as *mut Node;
                     loop {
                         // Skip over a chain of marked nodes.
-                        let mut cur_w = (*cur).next[l].load(Ordering::Acquire);
+                        let mut cur_w = Node::link(cur, l).load(Ordering::Acquire);
                         synchro::prefetch::read(unmark(cur_w) as *const Node);
                         while marked(cur_w) {
                             cur = unmark(cur_w) as *mut Node;
-                            cur_w = (*cur).next[l].load(Ordering::Acquire);
+                            cur_w = Node::link(cur, l).load(Ordering::Acquire);
                             synchro::prefetch::read(unmark(cur_w) as *const Node);
                         }
                         if (*cur).key < key {
@@ -200,7 +208,7 @@ impl FraserSkipList {
                         }
                         // Settle: snip the marked chain (if any).
                         if unmark(pred_w) != cur as usize
-                            && (*pred).next[l]
+                            && Node::link(pred, l)
                                 .compare_exchange(
                                     pred_w,
                                     cur as usize,
@@ -254,15 +262,15 @@ impl FraserSkipList {
                 'level: loop {
                     let mut pred = self.head;
                     loop {
-                        let pred_w = (*pred).next[l].load(Ordering::Acquire);
+                        let pred_w = Node::link(pred, l).load(Ordering::Acquire);
                         let cur = unmark(pred_w) as *mut Node;
                         if cur == node {
-                            let next = unmark((*node).next[l].load(Ordering::Acquire));
+                            let next = unmark(Node::link(node, l).load(Ordering::Acquire));
                             // Keep pred's own mark bit as-is: a marked
                             // pred's pointer may be rewritten (skipping
                             // `node`) but must stay marked.
                             let new_w = next | (pred_w & MARK);
-                            if (*pred).next[l]
+                            if Node::link(pred, l)
                                 .compare_exchange(
                                     pred_w,
                                     new_w,
@@ -294,8 +302,8 @@ impl FraserSkipList {
     /// reclamation this means no single grace period bounds the node's
     /// reachability, so recycling a retired slot is unsound without extra
     /// validation machinery (stamp checks on every traversal step). Slots
-    /// on this list are therefore never returned to the pool; their memory
-    /// is reclaimed wholesale when the pool drops with the structure.
+    /// on this list are therefore never returned to the pools; their memory
+    /// is reclaimed wholesale when the pools drop with the structure.
     ///
     /// # Safety
     ///
@@ -339,9 +347,9 @@ impl FraserSkipList {
         unsafe {
             for l in (0..=(*victim).top_level).rev() {
                 loop {
-                    let w = (*victim).next[l].load(Ordering::Acquire);
+                    let w = Node::link(victim, l).load(Ordering::Acquire);
                     if marked(w)
-                        || (*victim).next[l]
+                        || Node::link(victim, l)
                             .compare_exchange(w, w | MARK, Ordering::AcqRel, Ordering::Acquire)
                             .is_ok()
                     {
@@ -365,7 +373,7 @@ impl FraserSkipList {
             // If the node was deleted while we were linking, some of our
             // links may have re-published it after the deleter's unlink
             // sweep: sweep again before declaring ourselves done.
-            if marked((*node).next[0].load(Ordering::Acquire)) {
+            if marked(Node::link(node, 0).load(Ordering::Acquire)) {
                 self.unlink_node(node);
             }
             if (*node)
@@ -400,6 +408,27 @@ impl FraserSkipList {
         self.len() == 0
     }
 
+    /// Slot ledgers of the short, mid and tall tower-class pools.
+    #[cfg(test)]
+    pub(crate) fn class_stats(&self) -> [reclaim::PoolStats; 3] {
+        self.pool.stats()
+    }
+
+    /// Nodes parked on the deferred-reclamation list, per tower class.
+    #[cfg(test)]
+    pub(crate) fn deferred_by_class(&self) -> [u64; 3] {
+        let mut counts = [0; 3];
+        let mut cur = self.garbage.load(Ordering::Acquire) as *mut Node;
+        while !cur.is_null() {
+            // SAFETY: parked nodes stay allocated until the pools drop.
+            unsafe {
+                counts[crate::tower::class_of((*cur).top_level + 1)] += 1;
+                cur = (*cur).gc_next.load(Ordering::Acquire) as *mut Node;
+            }
+        }
+        counts
+    }
+
     /// Read-only probe for a live-linked node with `key` (observed through
     /// an unmarked pointer), like the paper's wait-free searches.
     ///
@@ -417,10 +446,10 @@ impl FraserSkipList {
         unsafe {
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = unmark((*pred).next[l].load(Ordering::Acquire)) as *mut Node;
+                let mut cur = unmark(Node::link(pred, l).load(Ordering::Acquire)) as *mut Node;
                 synchro::prefetch::read(cur);
                 loop {
-                    let cur_w = (*cur).next[l].load(Ordering::Acquire);
+                    let cur_w = Node::link(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(unmark(cur_w) as *const Node);
                     if marked(cur_w) {
                         cur = unmark(cur_w) as *mut Node;
@@ -461,7 +490,7 @@ impl ConcurrentSet for FraserSkipList {
         assert!(val != FROZEN, "u64::MAX is the reserved tombstone value");
         reclaim::quiescent();
         let top_level = random_level(key) - 1;
-        let node = self.pool.alloc_init(|| Node::make(key, val, top_level));
+        let node = self.pool.alloc(Node::make(key, val, top_level));
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
         let mut bo = Backoff::adaptive();
@@ -485,8 +514,8 @@ impl ConcurrentSet for FraserSkipList {
                     self.pool.dealloc_unpublished(node);
                     return false;
                 }
-                (*node).next[0].store(succs[0] as usize, Ordering::Relaxed);
-                if (*preds[0]).next[0]
+                Node::link(node, 0).store(succs[0] as usize, Ordering::Relaxed);
+                if Node::link(preds[0], 0)
                     .compare_exchange(
                         succs[0] as usize,
                         node as usize,
@@ -501,7 +530,7 @@ impl ConcurrentSet for FraserSkipList {
                     // cleanup may already have passed. Clean it ourselves
                     // before this operation ends; QSBR keeps the victim
                     // alive until we quiesce.
-                    if marked((*succs[0]).next[0].load(Ordering::Acquire)) {
+                    if marked(Node::link(succs[0], 0).load(Ordering::Acquire)) {
                         self.cleanup(key);
                     }
                     break;
@@ -513,7 +542,7 @@ impl ConcurrentSet for FraserSkipList {
             while l <= top_level {
                 // Abandon if our node got deleted meanwhile (its level-l
                 // pointer is marked).
-                let w = (*node).next[l].load(Ordering::Acquire);
+                let w = Node::link(node, l).load(Ordering::Acquire);
                 if marked(w) {
                     self.finish_insert(node);
                     return true;
@@ -521,7 +550,7 @@ impl ConcurrentSet for FraserSkipList {
                 let succ = succs[l];
                 // Install our forward pointer for this level; a concurrent
                 // deleter may race to mark it, hence CAS.
-                if (*node).next[l]
+                if Node::link(node, l)
                     .compare_exchange(w, succ as usize, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
@@ -529,7 +558,7 @@ impl ConcurrentSet for FraserSkipList {
                     self.finish_insert(node);
                     return true;
                 }
-                if (*preds[l]).next[l]
+                if Node::link(preds[l], l)
                     .compare_exchange(
                         succ as usize,
                         node as usize,
@@ -542,11 +571,11 @@ impl ConcurrentSet for FraserSkipList {
                     // have been deleted while we linked it (late link of a
                     // dead node) — finish_insert sweeps it back out; a
                     // marked successor just gets a helping pass.
-                    if marked((*node).next[l].load(Ordering::Acquire)) {
+                    if marked(Node::link(node, l).load(Ordering::Acquire)) {
                         self.finish_insert(node);
                         return true;
                     }
-                    if marked((*succ).next[l].load(Ordering::Acquire)) {
+                    if marked(Node::link(succ, l).load(Ordering::Acquire)) {
                         self.cleanup((*succ).key);
                     }
                     l += 1;
@@ -612,12 +641,12 @@ impl ConcurrentSet for FraserSkipList {
         // SAFETY: grace period; level-0 walk.
         unsafe {
             let mut n = 0;
-            let mut cur = unmark((*self.head).next[0].load(Ordering::Acquire)) as *mut Node;
+            let mut cur = unmark(Node::link(self.head, 0).load(Ordering::Acquire)) as *mut Node;
             while (*cur).key != TAIL_KEY {
-                if !marked((*cur).next[0].load(Ordering::Acquire)) {
+                if !marked(Node::link(cur, 0).load(Ordering::Acquire)) {
                     n += 1;
                 }
-                cur = unmark((*cur).next[0].load(Ordering::Acquire)) as *mut Node;
+                cur = unmark(Node::link(cur, 0).load(Ordering::Acquire)) as *mut Node;
             }
             n
         }
@@ -713,9 +742,9 @@ impl OrderedMap for FraserSkipList {
             // Read-only descent (upper levels) to a predecessor of `from`.
             let mut pred = self.head;
             for l in (1..MAX_LEVEL).rev() {
-                let mut cur = unmark((*pred).next[l].load(Ordering::Acquire)) as *mut Node;
+                let mut cur = unmark(Node::link(pred, l).load(Ordering::Acquire)) as *mut Node;
                 loop {
-                    let cur_w = (*cur).next[l].load(Ordering::Acquire);
+                    let cur_w = Node::link(cur, l).load(Ordering::Acquire);
                     if marked(cur_w) {
                         cur = unmark(cur_w) as *mut Node;
                         continue;
@@ -729,13 +758,13 @@ impl OrderedMap for FraserSkipList {
                 }
             }
             // Level-0 walk.
-            let mut cur = unmark((*pred).next[0].load(Ordering::Acquire)) as *mut Node;
+            let mut cur = unmark(Node::link(pred, 0).load(Ordering::Acquire)) as *mut Node;
             loop {
                 let key = (*cur).key;
                 if key > hi {
                     return;
                 }
-                let w = (*cur).next[0].load(Ordering::Acquire);
+                let w = Node::link(cur, 0).load(Ordering::Acquire);
                 if marked(w) {
                     // Unlinked (or mid-unlink): skip without deciding.
                     cur = unmark(w) as *mut Node;

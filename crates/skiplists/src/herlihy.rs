@@ -8,30 +8,39 @@
 //! deletion logical before physical.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use reclaim::NodePool;
 use synchro::{Backoff, RawLock, TtasLock};
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{pin_first_line, TowerNode, TowerPool};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// A node header; its tower follows it in a cache-line slot (see
+/// [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding (the `ConcurrentMap` upsert contract):
     /// swapped under this node's lock, read lock-free.
     val: AtomicU64,
-    /// Highest valid index into `next` (tower height − 1).
+    /// Highest valid tower link index (tower height − 1).
     top_level: usize,
     lock: TtasLock,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
+}
+
+pin_first_line!(Node: key, val, top_level, lock, marked, fully_linked);
+
+impl TowerNode for Node {
+    type Link = AtomicPtr<Node>;
+
+    fn top_level(&self) -> usize {
+        self.top_level
+    }
 }
 
 impl Node {
@@ -43,7 +52,6 @@ impl Node {
             lock: TtasLock::new(),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
@@ -51,9 +59,10 @@ impl Node {
 /// The Herlihy et al. optimistic skip list.
 pub struct HerlihySkipList {
     head: *mut Node,
-    /// Type-stable node pool. No pointer survives across operations, so
-    /// recycled slots are plainly re-initialized after their grace period.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools, one per tower class. No pointer survives
+    /// across operations, so recycled slots are plainly re-initialized
+    /// after their grace period.
+    pool: TowerPool<Node>,
 }
 
 // SAFETY: per-node locks + validation serialize updates; searches read
@@ -64,13 +73,13 @@ unsafe impl Sync for HerlihySkipList {}
 impl HerlihySkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        let pool = NodePool::new();
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+        let pool = TowerPool::new();
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes, no concurrency yet.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                Node::link(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -93,11 +102,11 @@ impl HerlihySkipList {
             let mut lfound = None;
             let mut pred = self.head;
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = Node::link(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -120,6 +129,12 @@ impl HerlihySkipList {
     /// Whether the structure is empty (see [`HerlihySkipList::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Slot ledgers of the short, mid and tall tower-class pools.
+    #[cfg(test)]
+    pub(crate) fn class_stats(&self) -> [reclaim::PoolStats; 3] {
+        self.pool.stats()
     }
 
     /// Unlocks `preds[0..=highest]`, each distinct node once.
@@ -155,11 +170,11 @@ impl ConcurrentSet for HerlihySkipList {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = Node::link(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -211,7 +226,7 @@ impl ConcurrentSet for HerlihySkipList {
                     }
                     valid = !(*pred).marked.load(Ordering::Acquire)
                         && !(*succ).marked.load(Ordering::Acquire)
-                        && (*pred).next[l].load(Ordering::Acquire) == succ;
+                        && Node::link(pred, l).load(Ordering::Acquire) == succ;
                     if !valid {
                         break;
                     }
@@ -223,14 +238,12 @@ impl ConcurrentSet for HerlihySkipList {
                     bo.backoff();
                     continue;
                 }
-                let newnode = self
-                    .pool
-                    .alloc_init(|| Node::make(key, val, top_level, false));
+                let newnode = self.pool.alloc(Node::make(key, val, top_level, false));
                 for l in 0..=top_level {
-                    (*newnode).next[l].store(succs[l], Ordering::Relaxed);
+                    Node::link(newnode, l).store(succs[l], Ordering::Relaxed);
                 }
                 for l in 0..=top_level {
-                    (*preds[l]).next[l].store(newnode, Ordering::Release);
+                    Node::link(preds[l], l).store(newnode, Ordering::Release);
                 }
                 (*newnode).fully_linked.store(true, Ordering::Release);
                 Self::unlock_preds(&preds, top_level);
@@ -290,7 +303,7 @@ impl ConcurrentSet for HerlihySkipList {
                         prev_pred = pred;
                     }
                     valid = !(*pred).marked.load(Ordering::Acquire)
-                        && (*pred).next[l].load(Ordering::Acquire) == victim;
+                        && Node::link(pred, l).load(Ordering::Acquire) == victim;
                     if !valid {
                         break;
                     }
@@ -303,8 +316,10 @@ impl ConcurrentSet for HerlihySkipList {
                     continue;
                 }
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    Node::link(preds[l], l).store(
+                        Node::link(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                 }
                 // Read under the victim's lock: serialized against the
                 // in-place swaps of `ConcurrentMap::put`.
@@ -323,14 +338,14 @@ impl ConcurrentSet for HerlihySkipList {
         // SAFETY: grace period; walk level 0.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = Node::link(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = Node::link(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -423,11 +438,11 @@ impl OrderedMap for HerlihySkipList {
                 // Descend to the predecessor of `from`.
                 let mut pred = self.head;
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
-                        cur = (*cur).next[l].load(Ordering::Acquire);
+                        cur = Node::link(cur, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -444,7 +459,7 @@ impl OrderedMap for HerlihySkipList {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.unlock();
@@ -464,7 +479,7 @@ impl OrderedMap for HerlihySkipList {
                 }
                 // Optimistic level-0 walk.
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;
@@ -476,7 +491,7 @@ impl OrderedMap for HerlihySkipList {
                     // still be intact, or the fields above may belong to
                     // a node that was never `cur`'s successor state.
                     if (*pred).marked.load(Ordering::Acquire)
-                        || (*pred).next[0].load(Ordering::Acquire) != cur
+                        || Node::link(pred, 0).load(Ordering::Acquire) != cur
                     {
                         fails += 1;
                         bo.backoff();
@@ -539,14 +554,14 @@ mod tests {
         // Level-0 walk sees everything in order.
         // SAFETY: single-threaded.
         unsafe {
-            let mut cur = (*s.head).next[0].load(Ordering::Relaxed);
+            let mut cur = Node::link(s.head, 0).load(Ordering::Relaxed);
             let mut prev = 0u64;
             let mut count = 0;
             while (*cur).key != TAIL_KEY {
                 assert!((*cur).key > prev);
                 prev = (*cur).key;
                 count += 1;
-                cur = (*cur).next[0].load(Ordering::Relaxed);
+                cur = Node::link(cur, 0).load(Ordering::Relaxed);
             }
             assert_eq!(count, 500);
         }

@@ -13,18 +13,20 @@
 //! aborting ones use `revert`, so versions track modifications exactly.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned, Version};
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{pin_first_line, TowerNode, TowerPool};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// A node header; its tower follows it in a cache-line slot (see
+/// [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding: swapped under this node's OPTIK lock,
@@ -34,9 +36,16 @@ pub(crate) struct Node {
     lock: OptikVersioned,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
+}
+
+pin_first_line!(Node: key, val, top_level, lock, marked, fully_linked);
+
+impl TowerNode for Node {
+    type Link = AtomicPtr<Node>;
+
+    fn top_level(&self) -> usize {
+        self.top_level
+    }
 }
 
 impl Node {
@@ -48,7 +57,6 @@ impl Node {
             lock: OptikVersioned::new(),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
@@ -56,11 +64,11 @@ impl Node {
 /// Herlihy's skip list with OPTIK-validated predecessor locking.
 pub struct HerlihyOptikSkipList {
     head: *mut Node,
-    /// Type-stable node pool. Deleters bump their victim's version before
-    /// retiring it, and no version read survives across operations, so
-    /// recycled slots (fresh lock included) are plainly re-initialized
-    /// after their grace period.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools, one per tower class. Deleters bump their
+    /// victim's version before retiring it, and no version read survives
+    /// across operations, so recycled slots (fresh lock included) are
+    /// plainly re-initialized after their grace period.
+    pool: TowerPool<Node>,
 }
 
 // SAFETY: per-node OPTIK locks serialize updates; searches read atomic
@@ -119,13 +127,13 @@ impl HeldPreds {
 impl HerlihyOptikSkipList {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        let pool = NodePool::new();
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+        let pool = TowerPool::new();
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                Node::link(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -141,6 +149,12 @@ impl HerlihyOptikSkipList {
     /// Whether the structure is empty (see [`HerlihyOptikSkipList::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Slot ledgers of the short, mid and tall tower-class pools.
+    #[cfg(test)]
+    pub(crate) fn class_stats(&self) -> [reclaim::PoolStats; 3] {
+        self.pool.stats()
     }
 
     /// `find` with per-level predecessor *version* tracking: each
@@ -162,12 +176,12 @@ impl HerlihyOptikSkipList {
             let mut pred = self.head;
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
-                    cur = (*pred).next[l].load(Ordering::Acquire);
+                    cur = Node::link(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -244,11 +258,11 @@ impl ConcurrentSet for HerlihyOptikSkipList {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = Node::link(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -291,7 +305,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     let succ = succs[l];
                     valid = Self::lock_and_validate(&mut held, preds[l], predvs[l], l, |p, l| {
                         !(*succ).marked.load(Ordering::Acquire)
-                            && (*p).next[l].load(Ordering::Acquire) == succ
+                            && Node::link(p, l).load(Ordering::Acquire) == succ
                     });
                     if !valid {
                         break;
@@ -302,14 +316,12 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     bo.backoff();
                     continue;
                 }
-                let newnode = self
-                    .pool
-                    .alloc_init(|| Node::make(key, val, top_level, false));
+                let newnode = self.pool.alloc(Node::make(key, val, top_level, false));
                 for l in 0..=top_level {
-                    (*newnode).next[l].store(succs[l], Ordering::Relaxed);
+                    Node::link(newnode, l).store(succs[l], Ordering::Relaxed);
                 }
                 for l in 0..=top_level {
-                    (*preds[l]).next[l].store(newnode, Ordering::Release);
+                    Node::link(preds[l], l).store(newnode, Ordering::Release);
                     held.mark_modified(preds[l]);
                 }
                 (*newnode).fully_linked.store(true, Ordering::Release);
@@ -362,7 +374,7 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                 let mut valid = true;
                 for l in 0..=top_level {
                     valid = Self::lock_and_validate(&mut held, preds[l], predvs[l], l, |p, l| {
-                        (*p).next[l].load(Ordering::Acquire) == victim
+                        Node::link(p, l).load(Ordering::Acquire) == victim
                     });
                     if !valid {
                         break;
@@ -374,8 +386,10 @@ impl ConcurrentSet for HerlihyOptikSkipList {
                     continue;
                 }
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    Node::link(preds[l], l).store(
+                        Node::link(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                     held.mark_modified(preds[l]);
                 }
                 // Read under the victim's lock: serialized against the
@@ -396,14 +410,14 @@ impl ConcurrentSet for HerlihyOptikSkipList {
         // SAFETY: grace period.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = Node::link(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = Node::link(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -494,12 +508,12 @@ impl OrderedMap for HerlihyOptikSkipList {
                 let mut pred = self.head;
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
-                        cur = (*pred).next[l].load(Ordering::Acquire);
+                        cur = Node::link(pred, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -516,7 +530,7 @@ impl OrderedMap for HerlihyOptikSkipList {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.revert();
@@ -535,7 +549,7 @@ impl OrderedMap for HerlihyOptikSkipList {
                     continue 'restart;
                 }
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;

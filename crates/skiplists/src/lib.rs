@@ -27,6 +27,7 @@ mod herlihy;
 mod herlihy_optik;
 mod level;
 mod optik_sl;
+mod tower;
 
 pub use fraser::FraserSkipList;
 pub use herlihy::HerlihySkipList;
@@ -323,6 +324,84 @@ mod cross_tests {
             }
             reclaim::online();
         }
+    }
+
+    /// Keys the class-ledger test churns through each list.
+    const LEDGER_KEYS: u64 = 64 * 1024;
+
+    /// Live slots per tower class (short, mid, tall).
+    fn live(stats: [reclaim::PoolStats; 3]) -> [u64; 3] {
+        stats.map(|s| s.live())
+    }
+
+    /// Inserts, reads, range-scans and removes `LEDGER_KEYS` keys, checking
+    /// that every tower class holds its share of the full list on the way.
+    fn ledger_churn(
+        name: &str,
+        m: &dyn OrderedMap,
+        class_stats: &dyn Fn() -> [reclaim::PoolStats; 3],
+    ) {
+        for k in 1..=LEDGER_KEYS {
+            assert_eq!(m.put(k, k ^ 0xA5), None, "{name} put {k}");
+        }
+        let full = live(class_stats());
+        assert_eq!(
+            full.iter().sum::<u64>(),
+            LEDGER_KEYS + 2,
+            "{name}: {full:?}"
+        );
+        // Geometric heights: 7/8 of towers are short, 1/2048 tall.
+        let short = full[0] as f64 / LEDGER_KEYS as f64;
+        assert!((0.85..0.90).contains(&short), "{name}: short share {short}");
+        assert!(full[1] > 0 && full[2] > 2, "{name}: {full:?}");
+        for k in 1..=LEDGER_KEYS {
+            assert_eq!(m.get(k), Some(k ^ 0xA5), "{name} get {k}");
+        }
+        for lo in (1..=LEDGER_KEYS).step_by(100) {
+            let window = m.range_collect(lo, lo + 99);
+            let want: Vec<(u64, u64)> = (lo..=(lo + 99).min(LEDGER_KEYS))
+                .map(|k| (k, k ^ 0xA5))
+                .collect();
+            assert_eq!(window, want, "{name} range from {lo}");
+        }
+        for k in 1..=LEDGER_KEYS {
+            assert_eq!(m.remove(k), Some(k ^ 0xA5), "{name} remove {k}");
+        }
+        reclaim::quiescent();
+        assert!(m.range_collect(1, u64::MAX - 1).is_empty(), "{name}");
+    }
+
+    /// Every retired node goes back to the pool of its own class: once a
+    /// recycling list is empty again, only the two full-height sentinels
+    /// are live, both in the tall class.
+    #[test]
+    fn class_pools_return_to_sentinels_after_churn() {
+        const SENTINELS: [u64; 3] = [0, 0, 2];
+        let herlihy = HerlihySkipList::new();
+        ledger_churn("herlihy", &herlihy, &|| herlihy.class_stats());
+        assert_eq!(live(herlihy.class_stats()), SENTINELS, "herlihy");
+        let herl_optik = HerlihyOptikSkipList::new();
+        ledger_churn("herl-optik", &herl_optik, &|| herl_optik.class_stats());
+        assert_eq!(live(herl_optik.class_stats()), SENTINELS, "herl-optik");
+        let optik1 = OptikSkipList1::new();
+        ledger_churn("optik1", &optik1, &|| optik1.class_stats());
+        assert_eq!(live(optik1.class_stats()), SENTINELS, "optik1");
+        let optik2 = OptikSkipList2::new();
+        ledger_churn("optik2", &optik2, &|| optik2.class_stats());
+        assert_eq!(live(optik2.class_stats()), SENTINELS, "optik2");
+    }
+
+    /// Fraser never recycles (re-publication chains, see its module docs):
+    /// every removed node stays live, parked on the deferred list, and
+    /// each class's live count is exactly its parked nodes plus sentinels.
+    #[test]
+    fn fraser_parks_every_removed_node_in_its_class() {
+        let fraser = FraserSkipList::new();
+        ledger_churn("fraser", &fraser, &|| fraser.class_stats());
+        let parked = fraser.deferred_by_class();
+        assert_eq!(parked.iter().sum::<u64>(), LEDGER_KEYS);
+        let want = [parked[0], parked[1], parked[2] + 2];
+        assert_eq!(live(fraser.class_stats()), want);
     }
 
     #[test]

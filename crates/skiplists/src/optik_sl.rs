@@ -23,18 +23,20 @@
 //!   simpler, and the faster of the two under skew in the paper.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use optik::{OptikLock, OptikVersioned, Version};
-use reclaim::NodePool;
 use synchro::Backoff;
 
 use crate::level::{random_level, MAX_LEVEL};
+use crate::tower::{pin_first_line, TowerNode, TowerPool};
 use crate::{
     assert_user_key, clamp_hi, ConcurrentMap, ConcurrentSet, Key, OrderedMap, Val, HEAD_KEY,
     RANGE_OPTIMISTIC_ATTEMPTS, TAIL_KEY,
 };
 
+/// A node header; its tower follows it in a cache-line slot (see
+/// [`crate::tower`]).
+#[repr(C)]
 pub(crate) struct Node {
     key: Key,
     /// In-place-updatable binding: swapped while holding this node's OPTIK
@@ -44,9 +46,16 @@ pub(crate) struct Node {
     lock: OptikVersioned,
     marked: AtomicBool,
     fully_linked: AtomicBool,
-    /// Inline fixed-height tower (only `0..=top_level` is used): keeps the
-    /// node free of drop glue so it can live in a type-stable pool slot.
-    next: [AtomicPtr<Node>; MAX_LEVEL],
+}
+
+pin_first_line!(Node: key, val, top_level, lock, marked, fully_linked);
+
+impl TowerNode for Node {
+    type Link = AtomicPtr<Node>;
+
+    fn top_level(&self) -> usize {
+        self.top_level
+    }
 }
 
 impl Node {
@@ -58,7 +67,6 @@ impl Node {
             lock: OptikVersioned::new(),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(linked),
-            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
         }
     }
 }
@@ -67,12 +75,12 @@ impl Node {
 /// or optik2 (immediate restart) behaviour.
 pub struct OptikSkipList<const FINE: bool> {
     head: *mut Node,
-    /// Type-stable node pool. A deleted victim's lock is held *forever*,
-    /// but no validation spans operations (versions are read on arrival
-    /// within the op), so after a grace period nobody can still validate
-    /// against it and the slot — fresh, unlocked lock included — is
-    /// plainly re-initialized.
-    pool: Arc<NodePool<Node>>,
+    /// Type-stable node pools, one per tower class. A deleted victim's
+    /// lock is held *forever*, but no validation spans operations
+    /// (versions are read on arrival within the op), so after a grace
+    /// period nobody can still validate against it and the slot — fresh,
+    /// unlocked lock included — is plainly re-initialized.
+    pool: TowerPool<Node>,
 }
 
 /// The *optik1* variant: fine-grained re-validation on version failure.
@@ -88,13 +96,13 @@ unsafe impl<const FINE: bool> Sync for OptikSkipList<FINE> {}
 impl<const FINE: bool> OptikSkipList<FINE> {
     /// Creates an empty skip list.
     pub fn new() -> Self {
-        let pool = NodePool::new();
-        let tail = pool.alloc_init(|| Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
-        let head = pool.alloc_init(|| Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
+        let pool = TowerPool::new();
+        let tail = pool.alloc(Node::make(TAIL_KEY, 0, MAX_LEVEL - 1, true));
+        let head = pool.alloc(Node::make(HEAD_KEY, 0, MAX_LEVEL - 1, true));
         // SAFETY: fresh nodes.
         unsafe {
             for l in 0..MAX_LEVEL {
-                (*head).next[l].store(tail, Ordering::Relaxed);
+                Node::link(head, l).store(tail, Ordering::Relaxed);
             }
         }
         Self { head, pool }
@@ -110,6 +118,12 @@ impl<const FINE: bool> OptikSkipList<FINE> {
     /// Whether the structure is empty (see [`OptikSkipList::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Slot ledgers of the short, mid and tall tower-class pools.
+    #[cfg(test)]
+    pub(crate) fn class_stats(&self) -> [reclaim::PoolStats; 3] {
+        self.pool.stats()
     }
 
     /// Traversal with per-level predecessor version tracking.
@@ -130,12 +144,12 @@ impl<const FINE: bool> OptikSkipList<FINE> {
             let mut pred = self.head;
             let mut predv = (*pred).lock.get_version();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
                     predv = (*pred).lock.get_version();
-                    cur = (*pred).next[l].load(Ordering::Acquire);
+                    cur = Node::link(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if lfound.is_none() && (*cur).key == key {
@@ -197,7 +211,7 @@ impl<const FINE: bool> OptikSkipList<FINE> {
             }
             let ok = !(*pred).marked.load(Ordering::Acquire)
                 && !(*succ).marked.load(Ordering::Acquire)
-                && (*pred).next[level].load(Ordering::Acquire) == succ;
+                && Node::link(pred, level).load(Ordering::Acquire) == succ;
             if ok {
                 return true;
             }
@@ -222,11 +236,11 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
             let mut pred = self.head;
             let mut found: *mut Node = std::ptr::null_mut();
             for l in (0..MAX_LEVEL).rev() {
-                let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                 synchro::prefetch::read(cur);
                 while (*cur).key < key {
                     pred = cur;
-                    cur = (*cur).next[l].load(Ordering::Acquire);
+                    cur = Node::link(cur, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                 }
                 if (*cur).key == key {
@@ -276,9 +290,7 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                         continue;
                     }
                     if node.is_null() {
-                        node = self
-                            .pool
-                            .alloc_init(|| Node::make(key, val, top_level, false));
+                        node = self.pool.alloc(Node::make(key, val, top_level, false));
                     }
                 }
                 // Link level by level, eagerly.
@@ -289,12 +301,12 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                     let succ = succs[l];
                     // Prepare the node's own pointer first; level `l` is
                     // not yet reachable, so a plain store is fine.
-                    (*node).next[l].store(succ, Ordering::Relaxed);
+                    Node::link(node, l).store(succ, Ordering::Relaxed);
                     if !Self::acquire_level(pred, predvs[l], succ, l) {
                         progressed = false;
                         break;
                     }
-                    (*pred).next[l].store(node, Ordering::Release);
+                    Node::link(pred, l).store(node, Ordering::Release);
                     (*pred).lock.unlock();
                     l += 1;
                     start_level = l;
@@ -391,8 +403,10 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
                 // Unlink top-down under all pred locks; the victim's own
                 // next pointers are frozen (its lock is held by us).
                 for l in (0..=top_level).rev() {
-                    (*preds[l]).next[l]
-                        .store((*victim).next[l].load(Ordering::Relaxed), Ordering::Release);
+                    Node::link(preds[l], l).store(
+                        Node::link(victim, l).load(Ordering::Relaxed),
+                        Ordering::Release,
+                    );
                 }
                 for p in acquired {
                     (*p).lock.unlock();
@@ -414,14 +428,14 @@ impl<const FINE: bool> ConcurrentSet for OptikSkipList<FINE> {
         // SAFETY: grace period.
         unsafe {
             let mut n = 0;
-            let mut cur = (*self.head).next[0].load(Ordering::Acquire);
+            let mut cur = Node::link(self.head, 0).load(Ordering::Acquire);
             while (*cur).key != TAIL_KEY {
                 if !(*cur).marked.load(Ordering::Relaxed)
                     && (*cur).fully_linked.load(Ordering::Relaxed)
                 {
                     n += 1;
                 }
-                cur = (*cur).next[0].load(Ordering::Acquire);
+                cur = Node::link(cur, 0).load(Ordering::Acquire);
             }
             n
         }
@@ -515,12 +529,12 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                 let mut pred = self.head;
                 let mut predv = (*pred).lock.get_version();
                 for l in (0..MAX_LEVEL).rev() {
-                    let mut cur = (*pred).next[l].load(Ordering::Acquire);
+                    let mut cur = Node::link(pred, l).load(Ordering::Acquire);
                     synchro::prefetch::read(cur);
                     while (*cur).key < from {
                         pred = cur;
                         predv = (*pred).lock.get_version();
-                        cur = (*pred).next[l].load(Ordering::Acquire);
+                        cur = Node::link(pred, l).load(Ordering::Acquire);
                         synchro::prefetch::read(cur);
                     }
                 }
@@ -543,7 +557,7 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                         bo.backoff();
                         continue 'restart;
                     }
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         (*pred).lock.revert();
@@ -565,7 +579,7 @@ impl<const FINE: bool> OrderedMap for OptikSkipList<FINE> {
                     continue 'restart;
                 }
                 loop {
-                    let cur = (*pred).next[0].load(Ordering::Acquire);
+                    let cur = Node::link(pred, 0).load(Ordering::Acquire);
                     let key = (*cur).key;
                     if key > hi {
                         return;
@@ -623,7 +637,7 @@ mod tests {
         let s = OptikSkipList2::new();
         assert!(s.insert(7, 70));
         // Grab the node before deletion.
-        let node = unsafe { (*s.head).next[0].load(Ordering::Relaxed) };
+        let node = unsafe { Node::link(s.head, 0).load(Ordering::Relaxed) };
         assert_eq!(s.delete(7), Some(70));
         // SAFETY: we have not quiesced since the retire.
         let v = unsafe { (*node).lock.get_version() };

@@ -6,6 +6,7 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use optik_suite::harness::api::ConcurrentSet;
 use optik_suite::harness::scenario::Subject;
@@ -100,10 +101,14 @@ fn concurrent_workload_preserves_net_count_everywhere_full() {
     concurrent_workload_preserves_net_count(15_000);
 }
 
+/// Wall time above which `stable_keys_remain_visible` reports a subject.
+const SLOW_SUBJECT_MS: u128 = 1_000;
+
 fn stable_keys_remain_visible(churn_iters: u64) {
     // Half the key space is immutable; churning the other half must never
     // make a stable key invisible or corrupt its value.
     for (name, set) in all_sets() {
+        let started = Instant::now();
         for k in (2..=120u64).step_by(2) {
             assert!(set.insert(k, k + 7), "{name}");
         }
@@ -147,6 +152,11 @@ fn stable_keys_remain_visible(churn_iters: u64) {
         // so nothing to do — but assert the stable half is intact).
         for k in (2..=120u64).step_by(2) {
             assert_eq!(set.search(k), Some(k + 7), "{name}");
+        }
+        // Name the slow subjects, so a convoy shows up in the test output.
+        let ms = started.elapsed().as_millis();
+        if ms > SLOW_SUBJECT_MS {
+            eprintln!("{name}: {ms} ms");
         }
     }
 }
