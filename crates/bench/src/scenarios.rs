@@ -132,6 +132,11 @@ pub fn group_blurb(group: &str) -> &'static str {
              involved shard, allocation-free planning) vs `-perkey` re-route-every-key \
              twins (A/B with --ab)"
         }
+        "kv.multiget-large" => {
+            "kv multi-get heavy, memory-bound (2 Mi entries, uniform, 50% 16-key multi-gets \
+             + 10% writes, 8 shards, ~100 MB > L3): the bucket-prefetch pass of the grouped \
+             multi_get vs the `-perkey` twin (A/B with --ab)"
+        }
         "kv.shards" => {
             "kv shard-count ablation (striped-optik backend, read-heavy zipf, 1..32 shards)"
         }
@@ -1073,6 +1078,31 @@ fn kv(r: &mut Registry) {
             SHARDS,
             w.clone(),
             move |_| ResizableStripedHashTable::new(16, 8),
+        ));
+    }
+
+    // The memory-bound twin: the `kv.multiget` stores fit in L2, so they
+    // show the per-key announcement fence but not the bucket-prefetch
+    // pass, which only pays when the batch's probes miss to DRAM. 2 Mi
+    // entries (~100 MB of buckets and chain nodes) overflow a 32 MiB L3.
+    // Kept out of the CI smoke filters: one fill takes about a second.
+    //   bench_all --ab kv.multiget-large.striped-optik-perkey,kv.multiget-large.striped-optik
+    const LARGE: u64 = 2 << 20;
+    let large_span = (2 * LARGE) as usize / SHARDS;
+    let about = "kv multi-get heavy, memory-bound: the kv.multiget mix over 2 Mi \
+                 entries, so every probe misses cache; the grouped path's \
+                 prefetch pass overlaps a batch's misses (A/B with --ab)";
+    let large = KvWorkload::new(LARGE, false, grouped.mix);
+    let mut large_per_key = large.clone();
+    large_per_key.mix.per_key_multiget = true;
+    for (series, w) in [("", large), ("-perkey", large_per_key)] {
+        r.register(kv_scenario(
+            &format!("kv.multiget-large.striped-optik{series}"),
+            about,
+            "kv/striped-optik",
+            SHARDS,
+            w,
+            move |_| StripedOptikHashTable::new(large_span, 16),
         ));
     }
 

@@ -100,6 +100,15 @@ pub trait ConcurrentMap: Send + Sync {
     /// Visits every entry once (see the trait docs for the concurrency
     /// contract).
     fn for_each(&self, f: &mut dyn FnMut(Key, Val));
+    /// Hints that [`ConcurrentMap::get`] of `key` follows soon: hash
+    /// backends load the key's bucket head and software-prefetch it, so
+    /// a batch that hints every key before reading any overlaps its
+    /// cache misses. The hint never faults and changes no state; the
+    /// default does nothing.
+    #[inline]
+    fn prefetch(&self, key: Key) {
+        let _ = key;
+    }
 }
 
 /// A [`ConcurrentMap`] over a *key-ordered* structure (skip list, BST):

@@ -110,6 +110,13 @@ impl crate::ConcurrentMap for OptikMapHashTable {
             ArrayMap::for_each(b, f);
         }
     }
+
+    #[inline]
+    fn prefetch(&self, key: Key) {
+        if synchro::prefetch::ACTIVE {
+            self.bucket(key).prefetch_slots();
+        }
+    }
 }
 
 #[cfg(test)]

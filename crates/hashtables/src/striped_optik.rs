@@ -281,6 +281,15 @@ impl crate::ConcurrentMap for StripedOptikHashTable {
             unsafe { crate::striped::for_each_chain(b, f) }
         }
     }
+
+    #[inline]
+    fn prefetch(&self, key: Key) {
+        if synchro::prefetch::ACTIVE {
+            // The head is only hinted, never dereferenced.
+            let b = bucket_of(key, self.buckets.len());
+            synchro::prefetch::read(self.buckets[b].load(Ordering::Relaxed));
+        }
+    }
 }
 
 #[cfg(test)]

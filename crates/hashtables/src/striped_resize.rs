@@ -346,6 +346,21 @@ impl crate::ConcurrentMap for ResizableStripedHashTable {
             }
         }
     }
+
+    #[inline]
+    fn prefetch(&self, key: Key) {
+        if synchro::prefetch::ACTIVE {
+            // The bucket array itself is QSBR-retired on resize: reading
+            // it needs a registered thread, which `with_local` ensures.
+            reclaim::with_local(|_| {
+                let table = self.segment(key).table.load(Ordering::Acquire);
+                // SAFETY: grace period (registered, not announcing); the
+                // head is only hinted, never dereferenced.
+                let head = unsafe { Self::bucket(&*table, key).load(Ordering::Relaxed) };
+                synchro::prefetch::read(head);
+            });
+        }
+    }
 }
 
 impl Drop for ResizableStripedHashTable {

@@ -293,8 +293,9 @@ impl<B: ConcurrentMap> Shard<B> {
 ///   eventually falling back to sorted locking) on interference.
 ///   Traversal safety under concurrent removal comes from the workspace's
 ///   QSBR domain (`reclaim`): scanning threads are registered
-///   participants and do not announce quiescence mid-scan, so retired
-///   entries stay readable.
+///   participants, and every operation that calls its backends more than
+///   once runs inside one `reclaim::op_scope` — it announces quiescence
+///   once, on entry, never mid-operation.
 ///
 /// The store itself implements [`ConcurrentMap`], so a `KvStore` can be
 /// nested, benchmarked, and linearizability-checked exactly like the
@@ -450,6 +451,19 @@ impl<B: ConcurrentMap> KvStore<B> {
         self.ttl.as_ref().map(|t| t.clock.now())
     }
 
+    /// Runs a single-key operation as one QSBR operation on TTL stores,
+    /// whose single-key paths call both the data map and the deadline
+    /// table: one announcement instead of one per backend call. Plain
+    /// stores call their backend once and run `f` bare.
+    #[inline]
+    fn ttl_scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        if self.ttl.is_some() {
+            reclaim::op_scope(f)
+        } else {
+            f()
+        }
+    }
+
     /// Drops entries of `buf` whose deadline (in `shard`'s companion
     /// table) has passed. Call inside the same validated section that
     /// collected `buf`, so value and deadline belong to one version.
@@ -566,15 +580,19 @@ impl<B: ConcurrentMap> KvStore<B> {
     fn drain_published(&self, shard: &Shard<B>, now: Option<u64>) -> bool {
         let me = optik_probe::thread_index();
         let mut modified = false;
-        let n = shard.combine.drain(|slot, op| {
-            optik_probe::count(if Some(slot) == me {
-                optik_probe::Event::CombineSelfServe
-            } else {
-                optik_probe::Event::CombineApplied
-            });
-            let (out, m) = shard.apply_op(op, now);
-            modified |= m;
-            out
+        // The whole drain is one QSBR operation, however many ops it
+        // applies.
+        let n = reclaim::op_scope(|| {
+            shard.combine.drain(|slot, op| {
+                optik_probe::count(if Some(slot) == me {
+                    optik_probe::Event::CombineSelfServe
+                } else {
+                    optik_probe::Event::CombineApplied
+                });
+                let (out, m) = shard.apply_op(op, now);
+                modified |= m;
+                out
+            })
         });
         if n > 0 {
             optik_probe::count(optik_probe::Event::CombineBatch);
@@ -645,7 +663,7 @@ impl<B: ConcurrentMap> KvStore<B> {
     #[inline]
     pub fn get(&self, key: Key) -> Option<Val> {
         if self.dynamic {
-            self.get_dynamic(key)
+            self.ttl_scope(|| self.get_dynamic(key))
         } else {
             self.read_entry(&self.shards[self.policy.route(key)], key)
         }
@@ -666,31 +684,34 @@ impl<B: ConcurrentMap> KvStore<B> {
         let Some(dl) = &shard.deadlines else {
             return shard.map.get(key);
         };
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let v = shard.lock.get_version_wait();
+        // Two backend lookups per round: one announcement for the read.
+        reclaim::op_scope(|| {
+            let mut bo = Backoff::adaptive();
+            let t0 = optik_probe::now();
+            let mut retried = false;
+            for _ in 0..OPTIMISTIC_ATTEMPTS {
+                let v = shard.lock.get_version_wait();
+                let val = shard.map.get(key);
+                let deadline = dl.get(key);
+                let now = self.now_opt().expect("deadline table implies a clock");
+                if shard.lock.validate(v) {
+                    if retried {
+                        record_retry_loop(t0);
+                    }
+                    return val.filter(|_| !deadline.is_some_and(|d| d <= now));
+                }
+                optik_probe::count(optik_probe::Event::ReadRetry);
+                retried = true;
+                bo.backoff();
+            }
+            shard.lock.lock();
             let val = shard.map.get(key);
             let deadline = dl.get(key);
             let now = self.now_opt().expect("deadline table implies a clock");
-            if shard.lock.validate(v) {
-                if retried {
-                    record_retry_loop(t0);
-                }
-                return val.filter(|_| !deadline.is_some_and(|d| d <= now));
-            }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        shard.lock.lock();
-        let val = shard.map.get(key);
-        let deadline = dl.get(key);
-        let now = self.now_opt().expect("deadline table implies a clock");
-        shard.lock.revert(); // read-only critical section
-        record_retry_loop(t0);
-        val.filter(|_| !deadline.is_some_and(|d| d <= now))
+            shard.lock.revert(); // read-only critical section
+            record_retry_loop(t0);
+            val.filter(|_| !deadline.is_some_and(|d| d <= now))
+        })
     }
 
     /// [`KvStore::get`] under a dynamic routing policy: optimistic
@@ -738,10 +759,12 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// previous binding reports `None` (and is physically dropped), and a
     /// plain put clears any deadline — the fresh binding lives forever.
     pub fn put(&self, key: Key, val: Val) -> Option<Val> {
-        if self.combinable() {
-            return self.write_combining(self.policy.route(key), CombineOp::Put { key, val });
-        }
-        self.write_shard(key, |shard, now| (shard.put_live(key, val, now), true))
+        self.ttl_scope(|| {
+            if self.combinable() {
+                return self.write_combining(self.policy.route(key), CombineOp::Put { key, val });
+            }
+            self.write_shard(key, |shard, now| (shard.put_live(key, val, now), true))
+        })
     }
 
     /// Removes `key` under the shard lock, returning its **live** value
@@ -750,10 +773,12 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// A miss releases with `revert`: the critical section modified
     /// nothing, so optimistic readers must not see a version bump.
     pub fn remove(&self, key: Key) -> Option<Val> {
-        if self.combinable() {
-            return self.write_combining(self.policy.route(key), CombineOp::Remove { key });
-        }
-        self.write_shard(key, |shard, now| shard.remove_live(key, now))
+        self.ttl_scope(|| {
+            if self.combinable() {
+                return self.write_combining(self.policy.route(key), CombineOp::Remove { key });
+            }
+            self.write_shard(key, |shard, now| shard.remove_live(key, now))
+        })
     }
 
     /// Involved shard indices, ascending and deduplicated — the canonical
@@ -886,6 +911,11 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// Runs every planned probe against its pre-routed shard (already
     /// under validated windows or the shard locks): flat arrival order
     /// when the plan is flat, shard-clustered otherwise.
+    ///
+    /// A prefetch pass hints every probe's bucket first
+    /// ([`ConcurrentMap::prefetch`]), so the batch's independent cache
+    /// misses overlap instead of running one after another (group
+    /// prefetching, Chen et al., ICDE 2004).
     fn probe_plan(
         &self,
         keys: &[Key],
@@ -894,6 +924,9 @@ impl<B: ConcurrentMap> KvStore<B> {
         out: &mut [Option<Val>],
     ) {
         if !plan.flat.is_empty() {
+            for (&k, &s) in keys.iter().zip(&plan.flat) {
+                self.shards[s as usize].map.prefetch(k);
+            }
             if now.is_none() {
                 // No TTL: the zipped loop is bounds-check-free and
                 // writes `out` sequentially.
@@ -913,6 +946,9 @@ impl<B: ConcurrentMap> KvStore<B> {
                 }
             }
         } else {
+            for &(s, k, _) in &plan.probes {
+                self.shards[s].map.prefetch(k);
+            }
             for (&s, &(a, b)) in plan.shards_hit.iter().zip(&plan.spans) {
                 self.probe_group(&self.shards[s], &plan.probes[a..b], now, out);
             }
@@ -942,9 +978,13 @@ impl<B: ConcurrentMap> KvStore<B> {
         if keys.is_empty() {
             return Vec::new();
         }
-        PROBE_PLAN.with(|cell| {
-            let mut plan = cell.borrow_mut();
-            self.multi_get_planned(keys, &mut plan)
+        // One QSBR announcement for the whole batch: the backend `get`s
+        // inside announce nothing (see DESIGN.md, "Batched reads").
+        reclaim::op_scope(|| {
+            PROBE_PLAN.with(|cell| {
+                let mut plan = cell.borrow_mut();
+                self.multi_get_planned(keys, &mut plan)
+            })
         })
     }
 
@@ -1099,72 +1139,78 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// validate shard versions and may observe a batch mid-application —
     /// per-key atomicity is the most a single-key read can claim.
     pub fn multi_put(&self, entries: &[(Key, Val)]) -> Vec<Option<Val>> {
-        // Hot-batch fast path: a batch whose keys all route to one shard
-        // (the common shape under key affinity) publishes as a single
-        // combinable op — one slot, one lock hold, one version bump —
-        // instead of paying the sorted lock_batch machinery.
-        if self.combinable() && !entries.is_empty() {
-            let s = self.policy.route(entries[0].0);
-            if entries.iter().all(|&(k, _)| self.policy.route(k) == s) {
-                let mut prevs: Vec<Option<Val>> = vec![None; entries.len()];
-                let resp = self.write_combining(
-                    s,
-                    CombineOp::PutBatch {
-                        entries: entries.as_ptr(),
-                        len: entries.len(),
-                        prevs: prevs.as_mut_ptr(),
-                    },
-                );
-                debug_assert!(resp.is_none(), "batch results travel via `prevs`");
-                return prevs;
+        // One QSBR operation for the whole batch.
+        reclaim::op_scope(|| {
+            // Hot-batch fast path: a batch whose keys all route to one shard
+            // (the common shape under key affinity) publishes as a single
+            // combinable op — one slot, one lock hold, one version bump —
+            // instead of paying the sorted lock_batch machinery.
+            if self.combinable() && !entries.is_empty() {
+                let s = self.policy.route(entries[0].0);
+                if entries.iter().all(|&(k, _)| self.policy.route(k) == s) {
+                    let mut prevs: Vec<Option<Val>> = vec![None; entries.len()];
+                    let resp = self.write_combining(
+                        s,
+                        CombineOp::PutBatch {
+                            entries: entries.as_ptr(),
+                            len: entries.len(),
+                            prevs: prevs.as_mut_ptr(),
+                        },
+                    );
+                    debug_assert!(resp.is_none(), "batch results travel via `prevs`");
+                    return prevs;
+                }
             }
-        }
-        let ids = self.lock_batch(&|| self.shard_ids(entries.iter().map(|&(k, _)| k)));
-        let now = self.now_opt();
-        let out = entries
-            .iter()
-            .map(|&(k, v)| self.shards[self.policy.route(k)].put_live(k, v, now))
-            .collect();
-        for &i in ids.iter().rev() {
-            self.shards[i].lock.unlock();
-        }
-        out
+            let ids = self.lock_batch(&|| self.shard_ids(entries.iter().map(|&(k, _)| k)));
+            let now = self.now_opt();
+            let out = entries
+                .iter()
+                .map(|&(k, v)| self.shards[self.policy.route(k)].put_live(k, v, now))
+                .collect();
+            for &i in ids.iter().rev() {
+                self.shards[i].lock.unlock();
+            }
+            out
+        })
     }
 
     /// Atomically removes every key, returning the removed **live** value
     /// per key (expired bindings report `None` and are dropped). Shards
     /// whose maps end up unmodified release with `revert`.
     pub fn multi_remove(&self, keys: &[Key]) -> Vec<Option<Val>> {
-        let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
-        let now = self.now_opt();
-        let mut modified = vec![false; ids.len()];
-        let out: Vec<Option<Val>> = keys
-            .iter()
-            .map(|&k| {
-                let s = self.policy.route(k);
-                let shard = &self.shards[s];
-                let slot = ids.binary_search(&s).expect("shard id collected above");
-                if now.is_some_and(|now| shard.drop_expired(k, now)) {
-                    modified[slot] = true;
-                }
-                let removed = shard.map.remove(k);
-                if removed.is_some() {
-                    if let Some(dl) = &shard.deadlines {
-                        dl.remove(k);
+        // One QSBR operation for the whole batch.
+        reclaim::op_scope(|| {
+            let ids = self.lock_batch(&|| self.shard_ids(keys.iter().copied()));
+            let now = self.now_opt();
+            let mut modified = vec![false; ids.len()];
+            let out: Vec<Option<Val>> = keys
+                .iter()
+                .map(|&k| {
+                    let s = self.policy.route(k);
+                    let shard = &self.shards[s];
+                    let slot = ids.binary_search(&s).expect("shard id collected above");
+                    if now.is_some_and(|now| shard.drop_expired(k, now)) {
+                        modified[slot] = true;
                     }
-                    modified[slot] = true;
+                    let removed = shard.map.remove(k);
+                    if removed.is_some() {
+                        if let Some(dl) = &shard.deadlines {
+                            dl.remove(k);
+                        }
+                        modified[slot] = true;
+                    }
+                    removed
+                })
+                .collect();
+            for (&i, &m) in ids.iter().zip(&modified).rev() {
+                if m {
+                    self.shards[i].lock.unlock();
+                } else {
+                    self.shards[i].lock.revert();
                 }
-                removed
-            })
-            .collect();
-        for (&i, &m) in ids.iter().zip(&modified).rev() {
-            if m {
-                self.shards[i].lock.unlock();
-            } else {
-                self.shards[i].lock.revert();
             }
-        }
-        out
+            out
+        })
     }
 
     /// One shard's entries as a version-consistent snapshot: optimistic
@@ -1200,54 +1246,60 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// whole walk additionally validates the routing version (so a
     /// concurrent boundary migration cannot show a moving key twice or
     /// not at all), falling back to locking every shard.
+    ///
+    /// The whole walk, `f` included, is one QSBR operation
+    /// (`reclaim::op_scope`): `f` must not go offline or block.
     pub fn scan(&self, mut f: impl FnMut(Key, Val)) {
-        let mut buf = Vec::new();
-        if !self.dynamic {
-            for i in 0..self.shards.len() {
-                self.shard_snapshot(i, &mut buf);
-                for &(k, v) in &buf {
-                    f(k, v);
-                }
-            }
-            return;
-        }
-        let mut all: Vec<(Key, Val)> = Vec::new();
-        let mut bo = Backoff::adaptive();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            all.clear();
-            let rv = self.policy.version();
-            for i in 0..self.shards.len() {
-                self.shard_snapshot(i, &mut buf);
-                all.append(&mut buf);
-            }
-            if self.policy.validate(rv) {
-                for &(k, v) in &all {
-                    f(k, v);
+        // One QSBR operation for the whole walk.
+        reclaim::op_scope(|| {
+            let mut buf = Vec::new();
+            if !self.dynamic {
+                for i in 0..self.shards.len() {
+                    self.shard_snapshot(i, &mut buf);
+                    for &(k, v) in &buf {
+                        f(k, v);
+                    }
                 }
                 return;
             }
-            bo.backoff();
-        }
-        // Migration storm: lock every shard (ascending — the same total
-        // order as every other batch path, and the rebalancer's own
-        // acquisition order, so no deadlock) and collect exactly.
-        let now = self.now_opt();
-        all.clear();
-        for s in self.shards.iter() {
-            s.lock.lock();
-        }
-        for s in self.shards.iter() {
-            buf.clear();
-            s.map.for_each(&mut |k, val| buf.push((k, val)));
-            self.filter_expired(s, &mut buf, now);
-            all.append(&mut buf);
-        }
-        for s in self.shards.iter().rev() {
-            s.lock.revert();
-        }
-        for &(k, v) in &all {
-            f(k, v);
-        }
+            let mut all: Vec<(Key, Val)> = Vec::new();
+            let mut bo = Backoff::adaptive();
+            for _ in 0..OPTIMISTIC_ATTEMPTS {
+                all.clear();
+                let rv = self.policy.version();
+                for i in 0..self.shards.len() {
+                    self.shard_snapshot(i, &mut buf);
+                    all.append(&mut buf);
+                }
+                if self.policy.validate(rv) {
+                    for &(k, v) in &all {
+                        f(k, v);
+                    }
+                    return;
+                }
+                bo.backoff();
+            }
+            // Migration storm: lock every shard (ascending — the same total
+            // order as every other batch path, and the rebalancer's own
+            // acquisition order, so no deadlock) and collect exactly.
+            let now = self.now_opt();
+            all.clear();
+            for s in self.shards.iter() {
+                s.lock.lock();
+            }
+            for s in self.shards.iter() {
+                buf.clear();
+                s.map.for_each(&mut |k, val| buf.push((k, val)));
+                self.filter_expired(s, &mut buf, now);
+                all.append(&mut buf);
+            }
+            for s in self.shards.iter().rev() {
+                s.lock.revert();
+            }
+            for &(k, v) in &all {
+                f(k, v);
+            }
+        })
     }
 
     /// Collects [`KvStore::scan`] into a key-sorted vector.
@@ -1386,71 +1438,74 @@ impl<B: OrderedMap> KvStore<B> {
     /// key order. Under hash sharding every shard is involved and the
     /// result is sorted afterwards.
     pub fn range_scan(&self, lo: Key, hi: Key) -> Vec<(Key, Val)> {
-        let mut out = Vec::new();
-        if lo > hi {
-            return out;
-        }
-        let last_shard = self.shards.len() - 1;
-        let hashed = self.policy.range_cover(lo, hi).is_none();
-        let cover = || self.policy.range_cover(lo, hi).unwrap_or((0, last_shard));
-        let mut versions = Vec::new();
-        let mut bo = Backoff::adaptive();
-        let t0 = optik_probe::now();
-        let mut retried = false;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            out.clear();
-            let rv = self.policy.version();
-            let (first, last) = cover();
-            versions.clear();
-            versions.extend((first..=last).map(|i| self.shards[i].lock.get_version_wait()));
-            let w0 = optik_probe::now();
-            // Clock sample inside the validated window (see
-            // `read_entry`): the whole scan linearizes at this tick.
-            let now = self.now_opt();
-            for i in first..=last {
-                self.collect_range(i, lo, hi, now, &mut out);
-            }
-            if self.policy.validate(rv)
-                && (first..=last)
-                    .zip(&versions)
-                    .all(|(i, &v)| self.shards[i].lock.validate(v))
-            {
-                optik_probe::record(
-                    optik_probe::HistKind::ValidationWindow,
-                    optik_probe::elapsed(w0, optik_probe::now()),
-                );
-                if retried {
-                    record_retry_loop(t0);
-                }
-                if hashed {
-                    out.sort_unstable();
-                }
+        // One QSBR operation for the whole window.
+        reclaim::op_scope(|| {
+            let mut out = Vec::new();
+            if lo > hi {
                 return out;
             }
-            optik_probe::count(optik_probe::Event::ReadRetry);
-            retried = true;
-            bo.backoff();
-        }
-        record_retry_loop(t0);
-        // Contended fallback: sorted acquisition of the involved shards
-        // (lock_batch re-checks the cover against racing migrations, and
-        // a held shard lock freezes its partition bounds).
-        out.clear();
-        let ids = self.lock_batch(&|| {
-            let (first, last) = cover();
-            (first..=last).collect()
-        });
-        let now = self.now_opt();
-        for &i in &ids {
-            self.collect_range(i, lo, hi, now, &mut out);
-        }
-        for &i in ids.iter().rev() {
-            self.shards[i].lock.revert();
-        }
-        if hashed {
-            out.sort_unstable();
-        }
-        out
+            let last_shard = self.shards.len() - 1;
+            let hashed = self.policy.range_cover(lo, hi).is_none();
+            let cover = || self.policy.range_cover(lo, hi).unwrap_or((0, last_shard));
+            let mut versions = Vec::new();
+            let mut bo = Backoff::adaptive();
+            let t0 = optik_probe::now();
+            let mut retried = false;
+            for _ in 0..OPTIMISTIC_ATTEMPTS {
+                out.clear();
+                let rv = self.policy.version();
+                let (first, last) = cover();
+                versions.clear();
+                versions.extend((first..=last).map(|i| self.shards[i].lock.get_version_wait()));
+                let w0 = optik_probe::now();
+                // Clock sample inside the validated window (see
+                // `read_entry`): the whole scan linearizes at this tick.
+                let now = self.now_opt();
+                for i in first..=last {
+                    self.collect_range(i, lo, hi, now, &mut out);
+                }
+                if self.policy.validate(rv)
+                    && (first..=last)
+                        .zip(&versions)
+                        .all(|(i, &v)| self.shards[i].lock.validate(v))
+                {
+                    optik_probe::record(
+                        optik_probe::HistKind::ValidationWindow,
+                        optik_probe::elapsed(w0, optik_probe::now()),
+                    );
+                    if retried {
+                        record_retry_loop(t0);
+                    }
+                    if hashed {
+                        out.sort_unstable();
+                    }
+                    return out;
+                }
+                optik_probe::count(optik_probe::Event::ReadRetry);
+                retried = true;
+                bo.backoff();
+            }
+            record_retry_loop(t0);
+            // Contended fallback: sorted acquisition of the involved shards
+            // (lock_batch re-checks the cover against racing migrations, and
+            // a held shard lock freezes its partition bounds).
+            out.clear();
+            let ids = self.lock_batch(&|| {
+                let (first, last) = cover();
+                (first..=last).collect()
+            });
+            let now = self.now_opt();
+            for &i in &ids {
+                self.collect_range(i, lo, hi, now, &mut out);
+            }
+            for &i in ids.iter().rev() {
+                self.shards[i].lock.revert();
+            }
+            if hashed {
+                out.sort_unstable();
+            }
+            out
+        })
     }
 }
 

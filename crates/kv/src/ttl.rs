@@ -140,22 +140,24 @@ impl<B: ConcurrentMap> KvStore<B> {
     pub fn put_with_ttl(&self, key: Key, val: Val, ttl: u64) -> Option<Val> {
         assert!(ttl > 0, "a zero TTL would expire the entry at birth");
         self.ttl_state(); // fail fast before taking the lock
-        self.write_shard(key, |shard, now| {
-            // `now` is sampled under the shard lock (see `write_shard`),
-            // so the deadline and the expiry decision share the write's
-            // linearization point. Clamp below MAX so the deadline is
-            // storable in any backend (fraser reserves u64::MAX) —
-            // saturation means "practically never".
-            let now = now.expect("ttl store always passes now");
-            let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
-            shard.drop_expired(key, now);
-            let prev = shard.map.put(key, val);
-            shard
-                .deadlines
-                .as_ref()
-                .expect("ttl state implies deadline tables")
-                .put(key, deadline);
-            (prev, true)
+        reclaim::op_scope(|| {
+            self.write_shard(key, |shard, now| {
+                // `now` is sampled under the shard lock (see `write_shard`),
+                // so the deadline and the expiry decision share the write's
+                // linearization point. Clamp below MAX so the deadline is
+                // storable in any backend (fraser reserves u64::MAX) —
+                // saturation means "practically never".
+                let now = now.expect("ttl store always passes now");
+                let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
+                shard.drop_expired(key, now);
+                let prev = shard.map.put(key, val);
+                shard
+                    .deadlines
+                    .as_ref()
+                    .expect("ttl state implies deadline tables")
+                    .put(key, deadline);
+                (prev, true)
+            })
         })
     }
 
@@ -169,20 +171,22 @@ impl<B: ConcurrentMap> KvStore<B> {
     pub fn expire_after(&self, key: Key, ttl: u64) -> bool {
         assert!(ttl > 0, "a zero TTL would expire the entry at birth");
         self.ttl_state(); // fail fast before taking the lock
-        self.write_shard(key, |shard, now| {
-            let now = now.expect("ttl store always passes now");
-            let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
-            let dropped = shard.drop_expired(key, now);
-            if shard.map.get(key).is_some() {
-                shard
-                    .deadlines
-                    .as_ref()
-                    .expect("ttl state implies deadline tables")
-                    .put(key, deadline);
-                (true, true)
-            } else {
-                (false, dropped)
-            }
+        reclaim::op_scope(|| {
+            self.write_shard(key, |shard, now| {
+                let now = now.expect("ttl store always passes now");
+                let deadline = now.saturating_add(ttl).min(u64::MAX - 1);
+                let dropped = shard.drop_expired(key, now);
+                if shard.map.get(key).is_some() {
+                    shard
+                        .deadlines
+                        .as_ref()
+                        .expect("ttl state implies deadline tables")
+                        .put(key, deadline);
+                    (true, true)
+                } else {
+                    (false, dropped)
+                }
+            })
         })
     }
 
@@ -200,71 +204,74 @@ impl<B: ConcurrentMap> KvStore<B> {
     /// zero.
     pub fn sweep_expired(&self, budget: usize) -> u64 {
         assert!(budget > 0, "a zero budget sweeps nothing");
-        optik_probe::count(optik_probe::Event::TtlSweep);
-        let _span = optik_probe::trace::span(optik_probe::trace::SpanKind::TtlSweep);
-        let ttl = self.ttl_state();
-        // Unlike the read/write paths, sampling the clock once up front
-        // is sound here: the sweep only *removes*, and the under-lock
-        // re-check `d <= now` with a stale (smaller) `now` can only keep
-        // an entry the current clock would also call expired — it can
-        // never reclaim a live one. Physical reclaim of an expired entry
-        // is logically invisible at any instant.
-        let now = ttl.clock.now();
-        let shards = self.shards.len();
-        let mut removed = 0u64;
-        let mut examined = 0usize;
-        let mut candidates: Vec<Key> = Vec::new();
-        for _ in 0..shards {
-            // Relaxed is sound: the cursor is pure work-distribution
-            // state. Its only invariant is that the RMW itself is atomic
-            // (two racing sweepers still claim distinct values); no other
-            // memory is published through it, and a stale start shard
-            // merely re-scans — every expired entry is still re-verified
-            // under the shard lock below.
-            let i = ttl.cursor.fetch_add(1, Ordering::Relaxed) % shards;
-            let shard = &self.shards[i];
-            let dl = shard
-                .deadlines
-                .as_ref()
-                .expect("ttl state implies deadline tables");
-            // Candidate collection is a raw (quiescence-consistent)
-            // sweep; each candidate is re-decided under the lock.
-            candidates.clear();
-            dl.for_each(&mut |k, d| {
-                if d <= now {
-                    candidates.push(k);
-                }
-            });
-            if !candidates.is_empty() {
-                shard.lock.lock();
-                let mut modified = false;
-                for &k in &candidates {
-                    if examined >= budget {
-                        break;
+        // One QSBR operation for the whole sweep.
+        reclaim::op_scope(|| {
+            optik_probe::count(optik_probe::Event::TtlSweep);
+            let _span = optik_probe::trace::span(optik_probe::trace::SpanKind::TtlSweep);
+            let ttl = self.ttl_state();
+            // Unlike the read/write paths, sampling the clock once up front
+            // is sound here: the sweep only *removes*, and the under-lock
+            // re-check `d <= now` with a stale (smaller) `now` can only keep
+            // an entry the current clock would also call expired — it can
+            // never reclaim a live one. Physical reclaim of an expired entry
+            // is logically invisible at any instant.
+            let now = ttl.clock.now();
+            let shards = self.shards.len();
+            let mut removed = 0u64;
+            let mut examined = 0usize;
+            let mut candidates: Vec<Key> = Vec::new();
+            for _ in 0..shards {
+                // Relaxed is sound: the cursor is pure work-distribution
+                // state. Its only invariant is that the RMW itself is atomic
+                // (two racing sweepers still claim distinct values); no other
+                // memory is published through it, and a stale start shard
+                // merely re-scans — every expired entry is still re-verified
+                // under the shard lock below.
+                let i = ttl.cursor.fetch_add(1, Ordering::Relaxed) % shards;
+                let shard = &self.shards[i];
+                let dl = shard
+                    .deadlines
+                    .as_ref()
+                    .expect("ttl state implies deadline tables");
+                // Candidate collection is a raw (quiescence-consistent)
+                // sweep; each candidate is re-decided under the lock.
+                candidates.clear();
+                dl.for_each(&mut |k, d| {
+                    if d <= now {
+                        candidates.push(k);
                     }
-                    examined += 1;
-                    // A candidate may have been re-armed, re-put, swept
-                    // by a racing sweeper, or migrated away since the
-                    // collection pass.
-                    if dl.get(k).is_some_and(|d| d <= now) {
-                        shard.map.remove(k);
-                        dl.remove(k);
-                        modified = true;
-                        removed += 1;
+                });
+                if !candidates.is_empty() {
+                    shard.lock.lock();
+                    let mut modified = false;
+                    for &k in &candidates {
+                        if examined >= budget {
+                            break;
+                        }
+                        examined += 1;
+                        // A candidate may have been re-armed, re-put, swept
+                        // by a racing sweeper, or migrated away since the
+                        // collection pass.
+                        if dl.get(k).is_some_and(|d| d <= now) {
+                            shard.map.remove(k);
+                            dl.remove(k);
+                            modified = true;
+                            removed += 1;
+                        }
+                    }
+                    if modified {
+                        shard.lock.unlock();
+                    } else {
+                        shard.lock.revert();
                     }
                 }
-                if modified {
-                    shard.lock.unlock();
-                } else {
-                    shard.lock.revert();
+                if examined >= budget {
+                    break;
                 }
             }
-            if examined >= budget {
-                break;
-            }
-        }
-        optik_probe::count_n(optik_probe::Event::TtlExpired, removed);
-        removed
+            optik_probe::count_n(optik_probe::Event::TtlExpired, removed);
+            removed
+        })
     }
 }
 

@@ -49,6 +49,14 @@ impl<L: OptikLock> OptikArrayMap<L> {
     pub fn version(&self) -> optik::Version {
         self.lock.get_version()
     }
+
+    /// Software-prefetches the first line of the slot array (see
+    /// `synchro::prefetch::read`): loading the array pointer pulls in the
+    /// map header, so a table of maps can hint a lookup's two misses.
+    #[inline]
+    pub fn prefetch_slots(&self) {
+        synchro::prefetch::read(self.slots.as_ptr());
+    }
 }
 
 impl<L: OptikLock> ArrayMap for OptikArrayMap<L> {

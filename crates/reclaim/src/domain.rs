@@ -126,6 +126,7 @@ impl Qsbr {
                     pending: RefCell::new(Vec::with_capacity(BATCH_SIZE)),
                     limbo: RefCell::new(VecDeque::new()),
                     quiesce_count: Cell::new(0),
+                    scope_depth: Cell::new(0),
                 };
             }
         }
@@ -275,16 +276,34 @@ pub struct QsbrHandle {
     /// Sealed batches awaiting their grace period, oldest first.
     limbo: RefCell<VecDeque<Batch>>,
     quiesce_count: Cell<u64>,
+    /// Nesting depth of [`QsbrHandle::op_scope`]; nonzero turns
+    /// [`QsbrHandle::quiescent`] into a no-op.
+    scope_depth: Cell<u32>,
+}
+
+/// Restores a handle's scope depth when an [`QsbrHandle::op_scope`] body
+/// returns or unwinds.
+struct ScopeExit<'a>(&'a Cell<u32>);
+
+impl Drop for ScopeExit<'_> {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() - 1);
+    }
 }
 
 impl QsbrHandle {
     /// Announces a quiescent point: the calling thread holds no references
     /// to any object retired in this domain.
     ///
-    /// Call once per data-structure operation (start or end — the paper's
-    /// benchmarks do it between iterations).
+    /// Call between operations, at least once per operation (start or
+    /// end — the paper's benchmarks do it between iterations). Inside an
+    /// [`QsbrHandle::op_scope`] the call is a no-op: the scope announced
+    /// once on entry for the whole operation.
     #[inline]
     pub fn quiescent(&self) {
+        if self.scope_depth.get() > 0 {
+            return;
+        }
         optik_probe::count(optik_probe::Event::EpochAdvance);
         let slot = &self.domain.slots[self.slot as usize];
         slot.ts.fetch_add(1, Ordering::AcqRel);
@@ -294,6 +313,30 @@ impl QsbrHandle {
             self.collect();
             self.domain.collect_orphans();
         }
+    }
+
+    /// Runs `f` as one operation with one quiescent announcement: announces
+    /// on entry (unless already inside a scope), then every
+    /// [`QsbrHandle::quiescent`] this handle sees until `f` returns is a
+    /// no-op. A composite operation whose inner lookups each announce
+    /// (a batched read over a backend whose `get` calls `quiescent`)
+    /// pays one announcement instead of one per lookup.
+    ///
+    /// Announcing less often only delays grace periods — every object
+    /// retired while `f` runs stays allocated until this thread announces
+    /// again after the scope — so no reclamation guarantee weakens. The
+    /// depth is restored on return and on unwind. `f` must not go
+    /// offline ([`QsbrHandle::offline`] asserts this in debug builds) nor
+    /// block for long: garbage from every thread waits for the scope.
+    #[inline]
+    pub fn op_scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        let depth = self.scope_depth.get();
+        if depth == 0 {
+            self.quiescent();
+        }
+        self.scope_depth.set(depth + 1);
+        let _exit = ScopeExit(&self.scope_depth);
+        f()
     }
 
     /// Defers dropping of `ptr` (a `Box::into_raw` pointer) until all
@@ -350,8 +393,13 @@ impl QsbrHandle {
 
     /// Marks this thread offline: snapshots skip it, so long idle periods do
     /// not stall reclamation. Must not be holding references into any
-    /// protected structure.
+    /// protected structure, nor inside an [`QsbrHandle::op_scope`].
     pub fn offline(&self) {
+        debug_assert_eq!(
+            self.scope_depth.get(),
+            0,
+            "QsbrHandle::offline inside an op_scope"
+        );
         let slot = &self.domain.slots[self.slot as usize];
         slot.ts.fetch_add(1, Ordering::AcqRel);
         slot.parked.store(true, Ordering::Release);
@@ -727,6 +775,86 @@ mod tests {
         }
         drop(domain);
         assert_eq!(drops.load(Ordering::SeqCst), (THREADS * OPS) as u64);
+    }
+
+    fn ts_of(h: &QsbrHandle) -> u64 {
+        h.domain.slots[h.slot as usize].ts.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn op_scope_announces_once_and_silences_inner_quiescent() {
+        let domain = Qsbr::new();
+        let h = domain.register();
+        let before = ts_of(&h);
+        h.op_scope(|| {
+            assert_eq!(ts_of(&h), before + 1, "entry announces once");
+            for _ in 0..4 * COLLECT_PERIOD {
+                h.quiescent();
+            }
+            assert_eq!(ts_of(&h), before + 1, "inner announcements are no-ops");
+            h.op_scope(|| h.quiescent());
+            assert_eq!(ts_of(&h), before + 1, "a nested scope adds none");
+        });
+        assert_eq!(
+            h.quiesce_count.get(),
+            1,
+            "inner calls never reach collection"
+        );
+        assert_eq!(h.scope_depth.get(), 0);
+        h.quiescent();
+        assert_eq!(ts_of(&h), before + 2, "announcing resumes after the scope");
+    }
+
+    #[test]
+    fn op_scope_restores_depth_on_unwind() {
+        let domain = Qsbr::new();
+        let h = domain.register();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.op_scope(|| h.op_scope(|| panic!("inside the scope")))
+        }));
+        assert!(r.is_err());
+        assert_eq!(h.scope_depth.get(), 0, "unwinding left the depth set");
+        let before = ts_of(&h);
+        h.quiescent();
+        assert_eq!(ts_of(&h), before + 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "offline inside an op_scope")]
+    fn offline_inside_op_scope_is_a_debug_assertion() {
+        let domain = Qsbr::new();
+        let h = domain.register();
+        h.op_scope(|| h.offline());
+    }
+
+    #[test]
+    fn retire_during_a_scope_waits_for_the_next_announcement_after_it() {
+        let domain = Qsbr::new();
+        let drops = Arc::new(AtomicU64::new(0));
+        let a = domain.register();
+        let b = domain.register();
+        a.op_scope(|| {
+            let p = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+            // SAFETY: unique Box pointer, unreachable elsewhere.
+            unsafe { b.retire(p) };
+            b.flush();
+            a.quiescent(); // silenced: `a` is still inside its operation
+            b.quiescent();
+            b.collect();
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under a live scope");
+        });
+        b.quiescent();
+        b.collect();
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "freed before `a` announced after its scope"
+        );
+        a.quiescent();
+        b.collect();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        drop((a, b));
     }
 
     #[test]

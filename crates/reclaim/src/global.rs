@@ -2,8 +2,10 @@
 //!
 //! Data-structure crates use these helpers so their public APIs need no
 //! explicit guard/handle arguments: every operation runs inside
-//! [`with_local`], and the benchmark loops (like the paper's) announce
-//! quiescence once per iteration via [`quiescent`].
+//! [`with_local`], the benchmark loops (like the paper's) announce
+//! quiescence between iterations via [`quiescent`], and composite
+//! operations wrap their inner calls in one [`op_scope`] so they announce
+//! once per operation rather than once per inner call.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
@@ -31,9 +33,18 @@ pub fn with_local<R>(f: impl FnOnce(&QsbrHandle) -> R) -> R {
 /// Announces a quiescent point for the calling thread on the global domain.
 ///
 /// Call between data-structure operations; never while holding references
-/// into a protected structure.
+/// into a protected structure. A no-op inside [`op_scope`].
 pub fn quiescent() {
     with_local(|h| h.quiescent());
+}
+
+/// Runs `f` as one operation on the global domain: one quiescent
+/// announcement on entry, and every [`quiescent`] the thread calls inside
+/// `f` is a no-op (see [`QsbrHandle::op_scope`]). Must not span
+/// [`offline`] or a blocking wait.
+#[inline]
+pub fn op_scope<R>(f: impl FnOnce() -> R) -> R {
+    with_local(|h| h.op_scope(f))
 }
 
 /// Marks the calling thread offline in the global domain: reclamation no

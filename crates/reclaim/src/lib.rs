@@ -15,16 +15,20 @@
 //!   the paper's *node caching* (§5.1) safe: a stale cached pointer always
 //!   points at *some* node of the right type, and OPTIK version validation
 //!   detects reuse.
-//! - [`global`]/[`with_local`]/[`quiescent`] — a process-wide default domain
+//! - [`global`]/[`with_local`]/[`quiescent`]/[`op_scope`] — a process-wide default domain
 //!   with per-thread handles, so data-structure APIs stay clean
 //!   (`list.insert(k, v)` with no explicit guard arguments).
 //!
 //! # The QSBR contract
 //!
 //! A thread registered in a domain must either call `quiescent()` regularly
-//! (typically once per data-structure operation) or mark itself offline with
+//! (between operations — every workspace structure announces at the start
+//! of each of its operations) or mark itself offline with
 //! [`QsbrHandle::offline`]; otherwise garbage accumulates. This is the same
-//! contract ssmem imposes in the paper.
+//! contract ssmem imposes in the paper, which announces once per
+//! *operation*: an operation built from many inner calls runs them inside
+//! one [`op_scope`], which announces on entry and silences the inner
+//! announcements.
 
 #![warn(missing_docs)]
 
@@ -33,5 +37,7 @@ mod global;
 mod pool;
 
 pub use domain::{Qsbr, QsbrHandle, QsbrStats, RetireCtx, MAX_THREADS};
-pub use global::{global, offline, offline_while, online, quiescent, retire_global, with_local};
+pub use global::{
+    global, offline, offline_while, online, op_scope, quiescent, retire_global, with_local,
+};
 pub use pool::{NodePool, PoolStats, PooledPtr, DEFAULT_CHUNK_CAPACITY, DEFAULT_MAGAZINE_CAPACITY};

@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 use optik_suite::bsts::OptikBst;
 use optik_suite::harness::api::{ConcurrentMap, OrderedMap, MAX_USER_KEY};
@@ -22,6 +23,17 @@ use optik_suite::maps::OptikArrayMap;
 use optik_suite::skiplists::{
     FraserSkipList, HerlihyOptikSkipList, HerlihySkipList, OptikSkipList2,
 };
+
+/// Wall time above which a stress loop reports a subject.
+const SLOW_SUBJECT_MS: u128 = 1_000;
+
+/// Names a slow subject on stderr, so a convoy shows up in the test output.
+fn report_if_slow(name: &str, started: Instant) {
+    let ms = started.elapsed().as_millis();
+    if ms > SLOW_SUBJECT_MS {
+        eprintln!("{name}: {ms} ms");
+    }
+}
 
 /// Every backend family the registry's kv scenarios use, as a small store.
 /// Fixed-capacity backends are sized so `put` can never overflow a shard.
@@ -87,6 +99,7 @@ fn striped_store(shards: usize) -> Arc<KvStore<StripedOptikHashTable>> {
 fn mixed_ops_net_count(scale: u64) {
     announce_seed();
     for (name, s) in all_stores() {
+        let started = Instant::now();
         let net = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -129,6 +142,7 @@ fn mixed_ops_net_count(scale: u64) {
             net.load(Ordering::Relaxed),
             "{name}: net count drifted"
         );
+        report_if_slow(name, started);
     }
 }
 
@@ -244,6 +258,7 @@ fn grouped_multiget_matches_per_key<B: ConcurrentMap + 'static>(
     rounds: u64,
 ) {
     announce_seed();
+    let started = Instant::now();
     let keys: Vec<u64> = MG_KEYS.to_vec();
     assert!(
         keys.iter()
@@ -341,6 +356,7 @@ fn grouped_multiget_matches_per_key<B: ConcurrentMap + 'static>(
         grouped, singles,
         "{name}: grouped batch vs single gets diverged at rest"
     );
+    report_if_slow(name, started);
 }
 
 fn grouped_multiget_rounds(rounds: u64) {
@@ -572,6 +588,7 @@ fn ordered_stores() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
 fn range_scans_under_churn(scan_rounds: u64) {
     announce_seed();
     for (name, s) in ordered_stores() {
+        let started = Instant::now();
         for k in (10..=250u64).step_by(10) {
             s.put(k, k);
         }
@@ -627,6 +644,7 @@ fn range_scans_under_churn(scan_rounds: u64) {
             h.join().unwrap();
         }
         reclaim::online();
+        report_if_slow(name, started);
     }
 }
 
@@ -812,6 +830,7 @@ fn ttl_expiry_under_churn(rounds: u64) {
         ]
     };
     for (name, s, clock) in make_stores() {
+        let started = Instant::now();
         const BACKBONE: u64 = 16;
         for k in 1..=BACKBONE {
             s.put(k, k * 7);
@@ -897,6 +916,7 @@ fn ttl_expiry_under_churn(rounds: u64) {
             (1..=BACKBONE).map(|k| (k, k * 7)).collect::<Vec<_>>(),
             "{name}: only the backbone survives"
         );
+        report_if_slow(name, started);
     }
 }
 

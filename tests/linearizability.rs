@@ -21,6 +21,7 @@
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::Instant;
 
 use optik_bench::scenarios;
 use optik_suite::harness::api::{ConcurrentMap, Key, OrderedMap, Val};
@@ -307,6 +308,9 @@ fn check_range_rounds(
     }
 }
 
+/// Wall time above which `run_tier` reports a subject.
+const SLOW_SUBJECT_MS: u128 = 1_000;
+
 /// Runs the whole registry through the appropriate checker, `rounds`
 /// histories per unique implementation.
 fn run_tier(rounds: usize) {
@@ -317,6 +321,7 @@ fn run_tier(rounds: usize) {
         if !seen.insert(s.subject_id().to_string()) {
             continue;
         }
+        let started = Instant::now();
         match s.subject() {
             Subject::Set(make) => {
                 sets += 1;
@@ -353,6 +358,11 @@ fn run_tier(rounds: usize) {
                 }
             }
             Subject::None => {}
+        }
+        // Name the slow subjects, so a convoy shows up in the test output.
+        let ms = started.elapsed().as_millis();
+        if ms > SLOW_SUBJECT_MS {
+            eprintln!("{}: {ms} ms", s.subject_id());
         }
     }
     // The registry must actually be feeding the tier: all five families of

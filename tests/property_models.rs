@@ -297,6 +297,106 @@ proptest! {
     }
 }
 
+/// Replays the tape's writes on `store` (on TTL stores every third put
+/// carries a short TTL and every plain read advances the clock, so some
+/// bindings expire) and at each `MultiGet` checks that the batched read,
+/// its per-key twin and single-key gets agree — over the drawn keys and
+/// the same number of keys beyond the written range, which are absent.
+fn check_batched_reads<B: ConcurrentMap>(
+    name: &str,
+    store: &KvStore<B>,
+    clock: Option<&optik_suite::kv::FakeClock>,
+    max_key: u64,
+    ops: &[KvOp],
+) -> Result<(), TestCaseError> {
+    for op in ops {
+        match op {
+            &KvOp::Put(k, v) => match clock {
+                Some(_) if v % 3 == 0 => {
+                    store.put_with_ttl(k, v, v % 5 + 1);
+                }
+                _ => {
+                    store.put(k, v);
+                }
+            },
+            &KvOp::Remove(k) => {
+                store.remove(k);
+            }
+            KvOp::MultiPut(entries) => {
+                store.multi_put(entries);
+            }
+            KvOp::MultiRemove(keys) => {
+                store.multi_remove(keys);
+            }
+            KvOp::Get(_) | KvOp::Snapshot => {
+                if let Some(c) = clock {
+                    c.advance(1);
+                }
+            }
+            KvOp::MultiGet(keys) => {
+                let probes: Vec<u64> = keys.iter().flat_map(|&k| [k, k + max_key]).collect();
+                let grouped = store.multi_get(&probes);
+                prop_assert_eq!(
+                    &grouped,
+                    &store.multi_get_per_key(&probes),
+                    "{}: multi_get vs multi_get_per_key {:?}",
+                    name,
+                    &probes
+                );
+                let singles: Vec<Option<u64>> = probes.iter().map(|&k| store.get(k)).collect();
+                prop_assert_eq!(
+                    &grouped,
+                    &singles,
+                    "{}: multi_get vs get {:?}",
+                    name,
+                    &probes
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`check_batched_reads`] on a plain and a TTL store over `make`.
+fn check_batched_reads_on<B: ConcurrentMap>(
+    name: &str,
+    make: impl Fn() -> B,
+    max_key: u64,
+    ops: &[KvOp],
+) -> Result<(), TestCaseError> {
+    let plain = KvStore::with_shards(4, |_| make());
+    check_batched_reads(name, &plain, None, max_key, ops)?;
+    let clock = Arc::new(optik_suite::kv::FakeClock::new());
+    let ttl = KvStore::with_shards_ttl(
+        4,
+        Arc::clone(&clock) as Arc<dyn optik_suite::kv::Clock>,
+        |_| make(),
+    );
+    check_batched_reads(&format!("{name}+ttl"), &ttl, Some(&clock), max_key, ops)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The batched read (one announcement, a bucket-prefetch pass, one
+    /// validated window per shard) must return exactly what the per-key
+    /// paths return, on every kv hash backend. Four buckets per shard
+    /// make the drawn keys share buckets, so the prefetch pass hints the
+    /// same chain more than once.
+    #[test]
+    fn multi_get_matches_per_key_reads_on_every_hash_backend(ops in kv_ops(24, 150)) {
+        check_batched_reads_on("striped-optik", || StripedOptikHashTable::new(4, 2), 24, &ops)?;
+        check_batched_reads_on("striped", || StripedHashTable::new(4, 2), 24, &ops)?;
+        check_batched_reads_on("resizable", || ResizableStripedHashTable::new(2, 2), 24, &ops)?;
+        check_batched_reads_on(
+            "optik-map",
+            || OptikMapHashTable::with_bucket_capacity(4, 32),
+            24,
+            &ops,
+        )?;
+    }
+}
+
 /// Every `OrderedMap` backend (the structures the kv store can mount for
 /// range scans), plus ordered-sharded stores over two of them.
 fn all_ordered_maps() -> Vec<(&'static str, Arc<dyn OrderedMap>)> {
